@@ -15,7 +15,6 @@ byte-identical artifacts except for the wall-time metadata field.
 
 import argparse
 import math
-import os
 import sys
 import time
 
@@ -32,7 +31,7 @@ from .models import (
     coherent_state,
     fock_state,
 )
-from .output import OutputTable, sweep_map, write_table
+from .output import OutputTable, write_table
 from .specfun import (
     bessel_j,
     bessel_j_adiabatic_impulse,
@@ -48,14 +47,12 @@ from .spectra import (
 )
 from .dynamics import SpectralEvolution, TimeGrid, propagate_semiclassical
 
-_WORKERS_ENV = "LZSIM_WORKERS"
-
 # presentation shifts used in the reference time-domain figure, keyed by the
 # mean photon number of the initial coherent state (matched within 1%)
 _FIGURE_OFFSETS = ((1000.0, 0.25), (100.0, 0.5), (10.0, 0.75))
 
 
-def _cmd_rabi_freq(cfg: RunConfig, workers: int):
+def _cmd_rabi_freq(cfg: RunConfig):
     p = cfg.parameters
     ns = figure_photon_grid() if p["n"] == "figure" else p["n"]
     if min(ns) + p["shift"] < 0.0:
@@ -69,7 +66,7 @@ def _cmd_rabi_freq(cfg: RunConfig, workers: int):
     return header, [(float(r.n), r.omega_s, r.omega_q, r.a_eff) for r in rows], {}
 
 
-def _cmd_evolve(cfg: RunConfig, workers: int, offsets: bool):
+def _cmd_evolve(cfg: RunConfig, offsets: bool):
     p = cfg.parameters
     qubit = QubitSpec(gap=p["gap"], bias=p["bias"])
     grid = TimeGrid(t0=0.0, t1=p["t-end"], samples=p["samples"])
@@ -120,62 +117,84 @@ def _cmd_evolve(cfg: RunConfig, workers: int, offsets: bool):
     return header, rows, extra
 
 
-def _cmd_fit_shift(cfg: RunConfig, workers: int):
+def _cmd_fit_shift(cfg: RunConfig):
     p = cfg.parameters
-    gap, ns = p["gap"], p["n"]
-    cells = [(c, k) for c in p["coupling"] for k in p["k"]]
-
-    def fit_cell(cell):
-        coupling, k = cell
-        qubit = QubitSpec(gap=gap, bias=float(k))
-        try:
-            fit = fit_amplitude_shift(qubit, coupling, k, ns)
-            offset, residual = fit.offset, fit.residual
-        except FitDegenerateError:
-            # marked cell; the rest of the sweep still runs
-            offset, residual = math.nan, math.nan
-        return (coupling, float(k), offset, residual, predicted_shift(coupling, k))
-
+    rows = []
+    for coupling in p["coupling"]:
+        for k in p["k"]:
+            qubit = QubitSpec(gap=p["gap"], bias=float(k))
+            try:
+                fit = fit_amplitude_shift(qubit, coupling, k, p["n"])
+                offset, residual = fit.offset, fit.residual
+            except FitDegenerateError:
+                # marked cell; the rest of the sweep still runs
+                offset, residual = math.nan, math.nan
+            rows.append((coupling, float(k), offset, residual, predicted_shift(coupling, k)))
     header = ("coupling", "k", "offset", "residual", "predicted")
-    return header, sweep_map(fit_cell, cells, workers), {}
+    return header, rows, {}
 
 
-def _cmd_bessel_approx(cfg: RunConfig, workers: int):
+def _cmd_bessel_approx(cfg: RunConfig):
     p = cfg.parameters
-    cells = [(k, x) for k in p["k"] for x in p["x"]]
-
-    def approx_cell(cell):
-        k, x = cell
-        exact = bessel_j(k, x)
-        asym = bessel_j_asymptotic(k, x)
-        if x > k:
-            adia = bessel_j_adiabatic_impulse(k, x)
-            adia_exp = bessel_j_adiabatic_impulse_expanded(k, x)
-        else:
-            # turning-point forms are undefined at or below x = k
-            adia = adia_exp = math.nan
-        return (
-            float(k), x, exact, asym, adia, adia_exp,
-            abs(asym - exact), abs(adia - exact), abs(adia_exp - exact),
-        )
-
+    rows = []
+    for k in p["k"]:
+        for x in p["x"]:
+            exact = bessel_j(k, x)
+            asym = bessel_j_asymptotic(k, x)
+            if x > k:
+                adia = bessel_j_adiabatic_impulse(k, x)
+                adia_exp = bessel_j_adiabatic_impulse_expanded(k, x)
+            else:
+                # turning-point forms are undefined at or below x = k
+                adia = adia_exp = math.nan
+            rows.append((
+                float(k), x, exact, asym, adia, adia_exp,
+                abs(asym - exact), abs(adia - exact), abs(adia_exp - exact),
+            ))
     header = (
         "k", "x", "exact", "asymptotic", "adiabatic", "adiabatic_expanded",
         "err_asymptotic", "err_adiabatic", "err_adiabatic_expanded",
     )
-    return header, sweep_map(approx_cell, cells, workers), {}
+    return header, rows, {}
 
 
-def _cmd_identity_sweep(cfg: RunConfig, workers: int):
+def _cmd_identity_sweep(cfg: RunConfig):
     p = cfg.parameters
-    cells = [(x, n, k) for x in p["x"] for n in p["n"] for k in p["k"]]
+    rows = [
+        (x, float(n), float(k), bessel_laguerre_identity_error(x, n, k))
+        for x in p["x"] for n in p["n"] for k in p["k"]
+    ]
+    return ("x", "n", "k", "error"), rows, {}
 
-    def error_cell(cell):
-        x, n, k = cell
-        return (x, float(n), float(k), bessel_laguerre_identity_error(x, n, k))
 
-    header = ("x", "n", "k", "error")
-    return header, sweep_map(error_cell, cells, workers), {}
+# subcommand name -> (handler, help text); the parser and main both read it
+_COMMANDS = {
+    "rabi-freq": (
+        _cmd_rabi_freq,
+        "Rabi frequency from both pictures over a photon-number grid "
+        "(keys: coupling, k, n [list or 'figure'], gap, shift)",
+    ),
+    "evolve": (
+        _cmd_evolve,
+        "time-domain population trace "
+        "(keys: picture, gap, bias, t-end, samples; semiclassical: amplitude, "
+        "phase, steps-per-period; quantum: coupling, initial, mean or m, "
+        "n-max, quadrature)",
+    ),
+    "fit-shift": (
+        _cmd_fit_shift,
+        "fit the photon-number offset per (coupling, k) cell "
+        "(keys: coupling, k, n, gap)",
+    ),
+    "bessel-approx": (
+        _cmd_bessel_approx,
+        "Bessel approximations and absolute errors on a (k, x) grid",
+    ),
+    "identity-sweep": (
+        _cmd_identity_sweep,
+        "Bessel/Laguerre correspondence error on an (x, n, k) grid",
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -188,19 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "rabi-freq": "Rabi frequency from both pictures over a photon-number grid "
-        "(keys: coupling, k, n [list or 'figure'], gap, shift)",
-        "evolve": "time-domain population trace "
-        "(keys: picture, gap, bias, t-end, samples; semiclassical: amplitude, "
-        "phase, steps-per-period; quantum: coupling, initial, mean or m, "
-        "n-max, quadrature)",
-        "fit-shift": "fit the photon-number offset per (coupling, k) cell "
-        "(keys: coupling, k, n, gap)",
-        "bessel-approx": "Bessel approximations and absolute errors on a (k, x) grid",
-        "identity-sweep": "Bessel/Laguerre correspondence error on an (x, n, k) grid",
-    }
-    for name, text in helps.items():
+    for name, (_, text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text, description=text)
         cmd.add_argument(
             "overrides", nargs="*", metavar="key=value",
@@ -209,10 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", metavar="PATH", help="flat key = value config file")
         cmd.add_argument("--out", metavar="PATH", help="output path ('-' or absent: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), help="artifact format (default csv)")
-        cmd.add_argument(
-            "--workers", type=int, metavar="N",
-            help=f"sweep worker threads (default ${_WORKERS_ENV} or 1)",
-        )
         if name == "evolve":
             cmd.add_argument(
                 "--offsets", action="store_true",
@@ -220,18 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "(0.25/0.5/0.75 for coherent means 1000/100/10)",
             )
     return parser
-
-
-def _resolve_workers(flag_value) -> int:
-    if flag_value is not None:
-        return max(1, flag_value)
-    text = os.environ.get(_WORKERS_ENV, "").strip()
-    if not text:
-        return 1
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise ConfigError([f"${_WORKERS_ENV} must be an integer, got {text!r}"]) from None
 
 
 def main(argv=None) -> int:
@@ -250,27 +241,18 @@ def main(argv=None) -> int:
         fmt = args.format if args.format is not None else (file_fmt or "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError([f"format must be csv or json, got {fmt!r}"])
-        workers = _resolve_workers(args.workers)
         cfg = resolve(args.command, raw)
+        # --offsets exists only on evolve, the only handler that takes it
+        flags = {"offsets": args.offsets} if args.command == "evolve" else {}
 
         start = time.perf_counter()
-        if args.command == "rabi-freq":
-            header, rows, extra = _cmd_rabi_freq(cfg, workers)
-        elif args.command == "evolve":
-            header, rows, extra = _cmd_evolve(cfg, workers, args.offsets)
-        elif args.command == "fit-shift":
-            header, rows, extra = _cmd_fit_shift(cfg, workers)
-        elif args.command == "bessel-approx":
-            header, rows, extra = _cmd_bessel_approx(cfg, workers)
-        else:
-            header, rows, extra = _cmd_identity_sweep(cfg, workers)
+        header, rows, extra = _COMMANDS[args.command][0](cfg, **flags)
         elapsed = time.perf_counter() - start
 
         metadata = cfg.echo()
         metadata["format"] = fmt
         if out_path is not None:
             metadata["out"] = str(out_path)
-        metadata["workers"] = str(workers)
         metadata.update(extra)
         metadata["artifact-version"] = __version__
         metadata["wall-time-s"] = format(elapsed, ".3f")

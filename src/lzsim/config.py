@@ -176,9 +176,9 @@ class _Resolver:
             describe="expected one of " + "/".join(options),
         )
 
-    def float_list(self, key, required=False, default=None, check=None, describe=""):
+    def _list(self, key, parse_list, required, default, check, describe):
         def parse_and_screen(text):
-            values = parse_float_list(text)
+            values = parse_list(text)
             if not values:
                 raise ValueError("empty list")
             return values
@@ -191,22 +191,12 @@ class _Resolver:
             check=lambda vs: check is None or all(check(v) for v in vs),
             describe=describe,
         )
+
+    def float_list(self, key, required=False, default=None, check=None, describe=""):
+        self._list(key, parse_float_list, required, default, check, describe)
 
     def int_list(self, key, required=False, default=None, check=None, describe=""):
-        def parse_and_screen(text):
-            values = parse_int_list(text)
-            if not values:
-                raise ValueError("empty list")
-            return values
-
-        self._fetch(
-            key,
-            parse_and_screen,
-            default,
-            required,
-            check=lambda vs: check is None or all(check(v) for v in vs),
-            describe=describe,
-        )
+        self._list(key, parse_int_list, required, default, check, describe)
 
     def finish(self) -> RunConfig:
         for key in sorted(self.raw):

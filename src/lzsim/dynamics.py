@@ -40,12 +40,6 @@ from .models import (
 #: integration steps per drive period for the driven propagator
 STEPS_PER_PERIOD = 4096
 
-#: base integrator step (one drive period / STEPS_PER_PERIOD)
-BASE_STEP = 2.0 * math.pi / STEPS_PER_PERIOD
-
-#: default trace resolution used by callers that sample per drive period
-SAMPLES_PER_PERIOD = 64
-
 _NORM_TOL = 1e-9
 _TRUNCATION_LEAK_TOL = 1e-8
 
@@ -291,14 +285,6 @@ class SpectralEvolution:
         pop = PopulationTrace(times, np.clip(p, 0.0, 1.0))
         return pop, (QuadratureTrace(times, x) if quadrature else None)
 
-    def population_trace(self, initial: JointState, grid: TimeGrid) -> PopulationTrace:
-        pop, _ = self.traces(initial, grid)
-        return pop
-
-    def quadrature_trace(self, initial: JointState, grid: TimeGrid) -> QuadratureTrace:
-        _, quad = self.traces(initial, grid, quadrature=True)
-        return quad
-
 
 def propagate_quantum(
     qubit: QubitSpec,
@@ -311,7 +297,8 @@ def propagate_quantum(
     Raises TruncationError when the initial state puts more than 1e-8 of
     its norm in the top 5% of the oscillator basis.
     """
-    return SpectralEvolution(qubit, cavity).population_trace(initial, grid)
+    pop, _ = SpectralEvolution(qubit, cavity).traces(initial, grid)
+    return pop
 
 
 def cavity_quadrature_trace(
@@ -321,7 +308,8 @@ def cavity_quadrature_trace(
     grid: TimeGrid,
 ) -> QuadratureTrace:
     """Oscillator position expectation <(a + a^dag)/2>(t)."""
-    return SpectralEvolution(qubit, cavity).quadrature_trace(initial, grid)
+    _, quad = SpectralEvolution(qubit, cavity).traces(initial, grid, quadrature=True)
+    return quad
 
 
 def dominant_frequency(trace: PopulationTrace) -> float:
@@ -420,4 +408,4 @@ def estimate_decay_time(trace: PopulationTrace) -> DecayEstimate:
     span = trace.times[-1] - trace.times[0]
     if slope >= 0.0 or -slope * span < -math.log(0.95):
         return DecayEstimate(tau=math.inf, quality=quality)
-    return DecayEstimate(tau=-1.0 / slope, quality=quality)
+    return DecayEstimate(tau=-1.0 / float(slope), quality=quality)

@@ -45,10 +45,10 @@ class QubitSpec:
     bias: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.gap >= 0.0:
-            raise ValueError(f"gap must be nonnegative, got {self.gap}")
-        if not self.bias >= 0.0:
-            raise ValueError(f"bias must be nonnegative, got {self.bias}")
+        if not 0.0 <= self.gap < math.inf:
+            raise ValueError(f"gap must be finite and nonnegative, got {self.gap}")
+        if not 0.0 <= self.bias < math.inf:
+            raise ValueError(f"bias must be finite and nonnegative, got {self.bias}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,10 @@ class SemiclassicalDrive:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.amplitude >= 0.0:
-            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,8 @@ class CavityCoupling:
     n_max: int
 
     def __post_init__(self) -> None:
-        if not self.coupling >= 0.0:
-            raise ValueError(f"coupling must be nonnegative, got {self.coupling}")
+        if not 0.0 <= self.coupling < math.inf:
+            raise ValueError(f"coupling must be finite and nonnegative, got {self.coupling}")
         if not (isinstance(self.n_max, int) and self.n_max >= 1):
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
@@ -132,10 +134,10 @@ def rabi_hamiltonian(qubit: QubitSpec, cavity: CavityCoupling) -> np.ndarray:
 
 def adequate_n_max(mean_occupation: float, coupling: float) -> int:
     """Fock cutoff rule: mean + 10 sqrt(mean) + 20 + ceil(4 c^2 + 8 c)."""
-    if mean_occupation < 0.0:
-        raise ValueError("mean occupation must be nonnegative")
-    if coupling < 0.0:
-        raise ValueError("coupling must be nonnegative")
+    if not 0.0 <= mean_occupation < math.inf:
+        raise ValueError(f"mean occupation must be finite and nonnegative, got {mean_occupation}")
+    if not 0.0 <= coupling < math.inf:
+        raise ValueError(f"coupling must be finite and nonnegative, got {coupling}")
     pad = math.ceil(4.0 * coupling * coupling + 8.0 * coupling)
     return int(math.ceil(mean_occupation + 10.0 * math.sqrt(mean_occupation) + 20.0)) + pad
 

@@ -1,4 +1,4 @@
-"""Tabular artifacts: CSV/JSON serialization and the parallel sweep executor.
+"""Tabular artifacts: CSV/JSON serialization.
 
 Both formats carry the full resolved run configuration as metadata so any
 artifact can be reproduced exactly from its own header.  Serialization is
@@ -9,7 +9,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 
@@ -65,16 +64,3 @@ def write_table(table: OutputTable, path, fmt: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer(table, handle)
 
-
-def sweep_map(fn, items, workers: int = 1) -> list:
-    """Map fn over items, preserving order regardless of completion order.
-
-    Each item gets its own result slot, so aggregation is race-free and the
-    output never depends on scheduling.  Failures re-raise in item order.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        return [f.result() for f in futures]

@@ -44,8 +44,8 @@ def bessel_j(k: int, x: float) -> float:
     """
     _check_order(k)
     x = float(x)
-    if math.isnan(x) or x < 0.0:
-        raise ValueError(f"argument must be a nonnegative real, got x={x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"argument must be a finite nonnegative real, got x={x}")
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
     if x <= 8.0 or x * x <= 2.0 * (k + 1):
@@ -171,12 +171,12 @@ def bessel_j_adiabatic_impulse_expanded(k: int, x: float) -> float:
     return math.sqrt(2.0 / (math.pi * s)) * math.cos(phase)
 
 
-def _check_laguerre_args(n: int, k: int, x: float) -> None:
+def _check_laguerre_args(n: int, k: int, x: float, x_name: str = "x") -> None:
     for name, idx in (("degree n", n), ("order k", k)):
         if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {idx!r}")
-    if math.isnan(x) or x < 0.0:
-        raise ValueError(f"argument must be a nonnegative real, got x={x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"argument must be a finite nonnegative real, got {x_name}={x}")
 
 
 def assoc_laguerre_scaled(n: int, k: int, x: float) -> tuple[float, float]:
@@ -230,7 +230,7 @@ def displaced_fock_overlap(n: int, k: int, d: float) -> float:
     log space and the Laguerre factor in scaled form, so the signed value is
     exact in sign and never overflows.  |result| <= 1 always.
     """
-    _check_laguerre_args(n, k, d)
+    _check_laguerre_args(n, k, d, "d")
     if n + k > MAX_OVERLAP_INDEX:
         raise ValueError(f"n+k={n + k} above supported range {MAX_OVERLAP_INDEX}")
     if d == 0.0:

@@ -65,12 +65,12 @@ def rabi_freq_quantum(qubit: QubitSpec, coupling: float, n: int, k: int) -> floa
 
 
 def equivalent_amplitude(coupling: float, n: float, shift: float = 0.0) -> float:
-    """Effective classical amplitude 4 c sqrt(n + shift); rejects n + shift < 0."""
-    if coupling < 0.0:
-        raise ValueError("coupling must be nonnegative")
+    """Effective classical amplitude 4 c sqrt(n + shift); all finite, c and n + shift >= 0."""
+    if not 0.0 <= coupling < math.inf:
+        raise ValueError(f"coupling must be finite and nonnegative, got {coupling}")
     radicand = n + shift
-    if radicand < 0.0:
-        raise ValueError(f"n + shift = {radicand} must be nonnegative")
+    if not 0.0 <= radicand < math.inf:
+        raise ValueError(f"n + shift must be finite and nonnegative, got n={n}, shift={shift}")
     return 4.0 * coupling * math.sqrt(radicand)
 
 

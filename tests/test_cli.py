@@ -18,7 +18,7 @@ from lzsim.config import (
     read_config_file,
     resolve,
 )
-from lzsim.output import OutputTable, sweep_map, write_table
+from lzsim.output import OutputTable, write_table
 
 
 def run_cli(capsys, *argv):
@@ -222,23 +222,6 @@ def test_write_csv_and_json_round_trip(tmp_path):
     assert doc["metadata"]["note"] == "hi"
 
 
-def test_sweep_map_matches_serial():
-    items = list(range(37))
-    serial = sweep_map(lambda v: v * v, items, workers=1)
-    threaded = sweep_map(lambda v: v * v, items, workers=4)
-    assert serial == threaded == [v * v for v in items]
-
-
-def test_sweep_map_first_error_wins():
-    def fragile(v):
-        if v in (7, 23):
-            raise ValueError(f"boom {v}")
-        return v
-
-    with pytest.raises(ValueError, match="boom 7"):
-        sweep_map(fragile, list(range(30)), workers=4)
-
-
 # ----------------------------------------------------------- CLI end-to-end
 
 
@@ -249,7 +232,7 @@ def test_rabi_freq_stdout(capsys):
     assert code == 0 and err == ""
     meta, header, rows = parse_csv(out)
     assert meta["command"] == "rabi-freq"
-    assert meta["workers"] == "1"
+    assert "workers" not in meta
     assert "wall-time-s" in meta
     assert header == ["n", "omega_s", "omega_q", "a_eff"]
     ref = comparison_grid(QubitSpec(0.01, 0.0), 0.1, 0, [0, 4])
@@ -425,27 +408,6 @@ def test_fit_shift_run(capsys):
     assert len(doc["rows"]) == 2
     for row in doc["rows"]:
         assert abs(row[2] - row[4]) < 0.1  # fit lands near the prediction
-
-
-def test_workers_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LZSIM_WORKERS", "3")
-    code, out, _ = run_cli(capsys, "bessel-approx", "k=0", "x=1,2,3")
-    assert code == 0
-    meta, _, _ = parse_csv(out)
-    assert meta["workers"] == "3"
-
-    monkeypatch.setenv("LZSIM_WORKERS", "many")
-    code, _, err = run_cli(capsys, "bessel-approx", "k=0", "x=1")
-    assert code == 2
-    assert "LZSIM_WORKERS" in err
-
-
-def test_workers_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("LZSIM_WORKERS", "3")
-    code, out, _ = run_cli(capsys, "bessel-approx", "k=0", "x=1", "--workers", "2")
-    assert code == 0
-    meta, _, _ = parse_csv(out)
-    assert meta["workers"] == "2"
 
 
 def test_deterministic_artifacts(tmp_path, capsys):

@@ -284,6 +284,7 @@ def test_estimate_decay_time_synthetic():
     t = np.linspace(0.0, 150.0, 2048)
     p = 0.5 + 0.45 * np.exp(-t / 50.0) * np.cos(0.8 * t)
     est = estimate_decay_time(PopulationTrace(t, p))
+    assert type(est.tau) is float
     assert est.tau == pytest.approx(50.0, rel=0.1)
     assert est.quality > 0.95
 

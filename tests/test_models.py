@@ -37,12 +37,20 @@ def test_qubit_spec_validation():
         QubitSpec(gap=1.0, bias=-2.0)
     with pytest.raises(ValueError):
         QubitSpec(gap=math.nan)
+    with pytest.raises(ValueError, match="gap"):
+        QubitSpec(gap=math.inf)
+    with pytest.raises(ValueError, match="bias"):
+        QubitSpec(1.0, bias=math.inf)
 
 
 def test_drive_validation():
     assert SemiclassicalDrive(0.0).phase == 0.0
     with pytest.raises(ValueError):
         SemiclassicalDrive(-1.0)
+    with pytest.raises(ValueError, match="amplitude"):
+        SemiclassicalDrive(math.inf)
+    with pytest.raises(ValueError, match="phase"):
+        SemiclassicalDrive(1.0, phase=math.nan)
 
 
 def test_cavity_validation():
@@ -54,6 +62,8 @@ def test_cavity_validation():
         CavityCoupling(0.5, 0)
     with pytest.raises(ValueError):
         CavityCoupling(0.5, 10.0)
+    with pytest.raises(ValueError, match="coupling"):
+        CavityCoupling(math.inf, 10)
 
 
 def test_mixing_angle_and_energy():
@@ -187,6 +197,11 @@ def test_adequate_n_max_covers_coherent_construction():
         adequate_n_max(-1.0, 0.1)
     with pytest.raises(ValueError):
         adequate_n_max(10.0, -0.1)
+    for mean in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="mean occupation"):
+            adequate_n_max(mean, 0.1)
+    with pytest.raises(ValueError, match="coupling"):
+        adequate_n_max(10.0, math.nan)
 
 
 # -------------------------------------------------- displaced-branch states

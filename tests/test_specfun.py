@@ -63,6 +63,8 @@ def test_bessel_rejects_bad_arguments():
         bessel_j(2, -0.5)
     with pytest.raises(ValueError):
         bessel_j(2, math.nan)
+    with pytest.raises(ValueError, match="x=inf"):
+        bessel_j(0, math.inf)
     with pytest.raises(ValueError):
         bessel_j(1.0, 2.0)
     with pytest.raises(ValueError):
@@ -145,6 +147,9 @@ def test_laguerre_rejects_bad_arguments():
         assoc_laguerre(2, 0, -1.0)
     with pytest.raises(ValueError):
         assoc_laguerre(2.0, 0, 1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="x="):
+            assoc_laguerre(3, 1, bad)
 
 
 # ------------------------------------------------------- factorial ratios
@@ -214,6 +219,9 @@ def test_overlap_rejects_bad_arguments():
         displaced_fock_overlap(0, 0, -0.5)
     with pytest.raises(ValueError):
         displaced_fock_overlap(MAX_OVERLAP_INDEX, 1, 0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="d="):
+            displaced_fock_overlap(3, 1, bad)
 
 
 @settings(max_examples=80, deadline=None)

@@ -77,6 +77,11 @@ def test_equivalent_amplitude():
         equivalent_amplitude(0.25, 0.0, shift=-0.5)
     with pytest.raises(ValueError):
         equivalent_amplitude(-0.25, 4.0)
+    with pytest.raises(ValueError, match="coupling"):
+        equivalent_amplitude(math.inf, 4.0)
+    for n, shift in [(math.nan, 0.0), (math.inf, 0.0), (4.0, math.nan)]:
+        with pytest.raises(ValueError, match="n \\+ shift"):
+            equivalent_amplitude(0.1, n, shift)
 
 
 # ------------------------------------------------------------ exact spectra
