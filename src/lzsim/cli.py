@@ -28,6 +28,7 @@ from .models import (
     QubitState,
     SemiclassicalDrive,
     adequate_n_max,
+    adequate_n_min,
     coherent_state,
     fock_state,
 )
@@ -84,19 +85,24 @@ def _cmd_evolve(cfg: RunConfig, offsets: bool):
         coupling = p["coupling"]
         mean = p["mean"] if p["initial"] == "coherent" else float(p["m"])
         n_max = p["n-max"] if p["n-max"] is not None else adequate_n_max(mean, coupling)
+        # the window's lower edge mirrors the n-max rule, kept below n-max
+        n_min = min(adequate_n_min(mean, coupling), n_max - 1)
+        if n_min > 0:
+            extra["n-min"] = str(n_min)
         extra["n-max"] = str(n_max)
         try:
+            # the evolution first: its memory guard runs before any state is built
+            evolution = SpectralEvolution(qubit, CavityCoupling(coupling, n_max, n_min))
             if p["initial"] == "coherent":
-                cavity_vec = coherent_state(math.sqrt(mean), n_max)
+                cavity_vec = coherent_state(math.sqrt(mean), n_max, n_min)
             else:
-                cavity_vec = fock_state(p["m"], n_max)
-            state = JointState.from_product(QubitState.down(), cavity_vec, n_max)
-            evolution = SpectralEvolution(qubit, CavityCoupling(coupling, n_max))
+                cavity_vec = fock_state(p["m"], n_max, n_min)
+            state = JointState.from_product(QubitState.down(), cavity_vec, n_max, n_min)
             trace, quad = evolution.traces(state, grid, quadrature=p["quadrature"])
         except NumericalFailure as exc:
             raise type(exc)(
                 f"quantum evolution with initial={p['initial']}, "
-                f"mean occupation {mean:g}, n-max={n_max}: {exc}"
+                f"mean occupation {mean:g}, n-min={n_min}, n-max={n_max}: {exc}"
             ) from exc
         offset = 0.0
         if offsets and p["initial"] == "coherent":

@@ -35,6 +35,7 @@ from .models import (
     QubitState,
     SemiclassicalDrive,
     rabi_hamiltonian,
+    require_dense_memory,
 )
 
 #: integration steps per drive period for the driven propagator
@@ -217,32 +218,45 @@ def propagate_semiclassical(
 class SpectralEvolution:
     """Diagonalize-once evolution of the coupled qubit-oscillator model.
 
-    The dense joint Hamiltonian is diagonalized at construction; traces
-    for any number of initial states and grids then cost one dense
-    matrix-matrix product per batch of samples, and unitarity is exact up
-    to rounding because evolution is a pure phase rotation.
+    The dense joint Hamiltonian on the cavity's Fock window n_min..n_max is
+    diagonalized at construction; traces for any number of initial states
+    and grids then cost one dense matrix-matrix product per batch of
+    samples, and unitarity is exact up to rounding because evolution is a
+    pure phase rotation.  Construction raises ResourceLimitError, before
+    allocating anything, when the diagonalization would not fit in physical
+    memory.  Each initial state must live on the same window and may hold
+    at most 1e-8 of its norm in the outer 5% of the window's levels at
+    either edge (only the top edge when n_min = 0); otherwise
+    TruncationError.
     """
 
     def __init__(self, qubit: QubitSpec, cavity: CavityCoupling):
+        require_dense_memory(cavity.dim)
         self.qubit = qubit
         self.cavity = cavity
         self._energies, self._modes = np.linalg.eigh(rabi_hamiltonian(qubit, cavity))
 
     def _prepare(self, initial: JointState):
-        if initial.n_max != self.cavity.n_max:
+        cav = self.cavity
+        if (initial.n_min, initial.n_max) != (cav.n_min, cav.n_max):
             raise ValueError(
-                f"initial state has n_max={initial.n_max}, "
-                f"propagator was built with n_max={self.cavity.n_max}"
+                f"initial state has n_min={initial.n_min}, n_max={initial.n_max}; "
+                f"propagator was built with n_min={cav.n_min}, n_max={cav.n_max}"
             )
-        levels = self.cavity.n_max + 1
-        top = max(1, int(round(0.05 * levels)))
-        amps = initial.amplitudes.reshape(2, levels)
-        leak = float(np.sum(np.abs(amps[:, levels - top :]) ** 2))
-        if leak > _TRUNCATION_LEAK_TOL:
-            raise TruncationError(
-                f"initial state holds {leak:.3e} of its norm in the top "
-                f"{top} oscillator levels; enlarge n_max={self.cavity.n_max}"
-            )
+        levels = cav.levels
+        band = max(1, int(round(0.05 * levels)))
+        weight = np.abs(initial.amplitudes.reshape(2, levels)) ** 2
+        edges = {"top": weight[:, levels - band :]}
+        if cav.n_min > 0:
+            edges["bottom"] = weight[:, :band]
+        for edge, block in edges.items():
+            leak = float(np.sum(block))
+            if leak > _TRUNCATION_LEAK_TOL:
+                raise TruncationError(
+                    f"initial state holds {leak:.3e} of its norm in the {edge} {band} "
+                    f"oscillator levels (limit {_TRUNCATION_LEAK_TOL:g}) of the window "
+                    f"n_min={cav.n_min}, n_max={cav.n_max}; widen it"
+                )
         return self._modes.T @ initial.amplitudes
 
     def traces(
@@ -254,8 +268,8 @@ class SpectralEvolution:
         """Population trace and, optionally, the quadrature trace."""
         coeff = self._prepare(initial)
         times = grid.times()
-        levels = self.cavity.n_max + 1
-        root = np.sqrt(np.arange(1, levels))
+        levels = self.cavity.levels
+        root = np.sqrt(np.arange(self.cavity.n_min + 1, self.cavity.n_max + 1))
         p = np.empty(times.size)
         x = np.empty(times.size) if quadrature else None
 
@@ -295,7 +309,8 @@ def propagate_quantum(
     """Down-state population P(t) in the quantized model.
 
     Raises TruncationError when the initial state puts more than 1e-8 of
-    its norm in the top 5% of the oscillator basis.
+    its norm in the outer 5% of the oscillator window at either edge (the
+    bottom edge only when n_min > 0).
     """
     pop, _ = SpectralEvolution(qubit, cavity).traces(initial, grid)
     return pop

@@ -14,6 +14,10 @@ class TruncationError(NumericalFailure):
     """A Fock-space cutoff is too small for the requested state or evolution."""
 
 
+class ResourceLimitError(NumericalFailure):
+    """A dense allocation would not fit in the machine's physical memory."""
+
+
 class NormDriftError(NumericalFailure):
     """State norm left the unit sphere beyond tolerance during propagation."""
 

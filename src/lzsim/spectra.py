@@ -24,7 +24,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FitDegenerateError, PairIdentificationError
-from .models import Branch, CavityCoupling, QubitSpec, grwa_state, mixing_angle, rabi_hamiltonian
+from .models import (
+    Branch,
+    CavityCoupling,
+    QubitSpec,
+    grwa_state,
+    mixing_angle,
+    rabi_hamiltonian,
+    require_dense_memory,
+)
 from .specfun import bessel_j, displaced_fock_overlap
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -79,7 +87,9 @@ def exact_splitting(qubit: QubitSpec, cavity: CavityCoupling, n: int, k: int) ->
 
     Diagonalises the dense joint Hamiltonian on the resonance bias = k and
     finds the two eigenvectors with the largest summed squared overlap
-    against the doublet; their mean captured weight must reach 0.8.
+    against the doublet; their mean captured weight must reach 0.8.  Raises
+    ResourceLimitError, before allocating, when the diagonalisation would
+    not fit in physical memory.
     """
     if not (isinstance(n, int) and n >= 0 and isinstance(k, int) and k >= 0):
         raise ValueError("n and k must be nonnegative integers")
@@ -87,6 +97,7 @@ def exact_splitting(qubit: QubitSpec, cavity: CavityCoupling, n: int, k: int) ->
         raise ValueError(f"resonance requires bias = k, got bias={qubit.bias}, k={k}")
     if n + k > cavity.n_max:
         raise ValueError(f"n+k={n + k} exceeds n_max={cavity.n_max}")
+    require_dense_memory(cavity.dim)
     energies, modes = np.linalg.eigh(rabi_hamiltonian(qubit, cavity))
     pair_a = grwa_state(Branch.UP, n + k, cavity).amplitudes.real
     pair_b = grwa_state(Branch.DOWN, n, cavity).amplitudes.real

@@ -1,7 +1,8 @@
 """Shared fixtures for the strongly driven time-domain scenario.
 
-The expensive resources are the two dense diagonalizations (dim 2802 for
-mean occupation 1000, dim 448 for occupation 100).  They are built once
+The expensive resources are the two dense diagonalizations (dim 1478 on
+the Fock window 662..1400 for mean occupation 1000, dim 448 for
+occupation 100).  They are built once
 per session and shared between the unit tests and the acceptance checks.
 """
 
@@ -18,6 +19,7 @@ from lzsim import (
     SpectralEvolution,
     TimeGrid,
     adequate_n_max,
+    adequate_n_min,
     bessel_j,
     coherent_state,
     propagate_semiclassical,
@@ -58,14 +60,17 @@ def fig4_grid(fig4_period):
 def mean1000_evolution(fig4_qubit):
     """Diagonalized joint model for coherent mean occupation 1000.
 
-    coupling = amplitude / (4 sqrt(1000)); n_max 1400 keeps the top-level
-    leak of the initial coherent state far below the truncation guard.
+    coupling = amplitude / (4 sqrt(1000)); the oscillator basis is the Fock
+    window n_min..n_max with n_min = adequate_n_min(1000, coupling) = 662
+    and n_max 1400, which keeps the leak of the initial coherent state at
+    both edges far below the truncation guard.
     """
     coupling = FIG4_AMPLITUDE / (4.0 * math.sqrt(1000.0))
+    n_min = adequate_n_min(1000.0, coupling)
     n_max = 1400
-    evo = SpectralEvolution(fig4_qubit, CavityCoupling(coupling, n_max))
+    evo = SpectralEvolution(fig4_qubit, CavityCoupling(coupling, n_max, n_min))
     initial = JointState.from_product(
-        QubitState.down(), coherent_state(math.sqrt(1000.0), n_max), n_max
+        QubitState.down(), coherent_state(math.sqrt(1000.0), n_max, n_min), n_max, n_min
     )
     return evo, initial
 

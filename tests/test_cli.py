@@ -316,6 +316,54 @@ def test_evolve_numerical_failure_names_parameters(capsys):
     assert "initial=fock" in err and "n-max=50" in err
 
 
+def test_evolve_window_metadata(capsys):
+    # mean 400 at c = 0.01: window floor(180) - 1 .. ceil(620) + 1
+    code, out, _ = run_cli(
+        capsys, "evolve", "picture=quantum", "gap=0.4", "bias=2",
+        "coupling=0.01", "initial=coherent", "mean=400", "t-end=2", "samples=3",
+    )
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert (meta["n-min"], meta["n-max"]) == ("179", "621")
+    assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-12)
+    # n-min stays below an explicit n-max, whatever the rule gives
+    code, out, err = run_cli(
+        capsys, "evolve", "picture=quantum", "gap=0.4", "bias=2",
+        "coupling=0.01", "initial=coherent", "mean=400", "n-max=150",
+        "t-end=2", "samples=3",
+    )
+    assert code == 3 and "n-min=149, n-max=150" in err
+
+
+def test_evolve_refuses_a_diagonalisation_beyond_memory(capsys, monkeypatch):
+    # mean 1e6 needs a window of dimension 40,094: about 64 GB for eigh.
+    # The guard must fire before the evolution or the coherent state
+    # allocates anything.  The memory reading is capped at 32 GiB so that
+    # a host with more would still refuse rather than start the run.
+    import tracemalloc
+
+    import lzsim.models
+
+    real = lzsim.models._physical_memory()
+    cap = 32 * 2**30
+    monkeypatch.setattr(
+        lzsim.models, "_physical_memory", lambda: cap if real is None else min(real, cap)
+    )
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "evolve", "picture=quantum", "gap=0.4", "bias=2",
+            "coupling=0.25", "initial=coherent", "mean=1e6", "t-end=10", "samples=11",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err.startswith("lzsim: numerical failure:")
+    assert "dimension 40094" in err and "bytes of physical memory" in err
+    assert peak < 16 * 2**20
+
+
 def test_missing_keys_reported_one_line_each(capsys):
     code, _, err = run_cli(capsys, "evolve", "picture=semiclassical")
     assert code == 2

@@ -18,6 +18,8 @@ from lzsim import (
     SpectralEvolution,
     TimeGrid,
     TruncationError,
+    adequate_n_max,
+    adequate_n_min,
     cavity_quadrature_trace,
     coherent_state,
     dominant_frequency,
@@ -200,6 +202,54 @@ def test_mismatched_n_max_rejected():
     evo = SpectralEvolution(QubitSpec(0.4, 2.0), CavityCoupling(0.1, 20))
     other = JointState.from_product(QubitState.down(), fock_state(0, 30), 30)
     with pytest.raises(ValueError):
+        evo.traces(other, TimeGrid(0.0, 5.0, 10))
+
+
+def _window_pair(mean, coupling, start, grid):
+    """Traces from the full basis 0..n_max and from the adequate_n_min window."""
+    qubit = QubitSpec(0.4, 2.0)
+    n_max = adequate_n_max(mean, coupling)
+    n_min = adequate_n_min(mean, coupling)
+    assert n_min > 0
+    out = []
+    for lo in (0, n_min):
+        if start == "coherent":
+            vec = coherent_state(math.sqrt(mean), n_max, lo)
+        else:
+            vec = fock_state(int(mean), n_max, lo)
+        initial = JointState.from_product(QubitState.down(), vec, n_max, lo)
+        evo = SpectralEvolution(qubit, CavityCoupling(coupling, n_max, lo))
+        out.append(evo.traces(initial, grid, quadrature=True))
+    return out
+
+
+@pytest.mark.parametrize("start", ["coherent", "fock"])
+def test_window_matches_full_basis_at_strong_coupling(start):
+    grid = TimeGrid(0.0, 60.0, 241)
+    (pop_full, x_full), (pop_win, x_win) = _window_pair(200.0, 1.0, start, grid)
+    assert np.max(np.abs(pop_win.p_down - pop_full.p_down)) < 1e-10
+    assert np.max(np.abs(x_win.x_mean - x_full.x_mean)) < 1e-10
+    # the oscillator actually moves: the comparison is not of constants
+    assert np.ptp(x_full.x_mean) > 1.0
+
+
+def test_truncation_guard_rejects_bottom_weight():
+    cavity = CavityCoupling(0.1, 60, 20)
+    evo = SpectralEvolution(QubitSpec(0.4, 2.0), cavity)
+    bottom = JointState.from_product(QubitState.down(), fock_state(21, 60, 20), 60, 20)
+    with pytest.raises(TruncationError, match="bottom 2 oscillator levels"):
+        evo.traces(bottom, TimeGrid(0.0, 5.0, 10))
+    # at n_min = 0 the bottom band is the physical vacuum, not an edge
+    vacuum = JointState.from_product(QubitState.down(), fock_state(0, 60), 60)
+    SpectralEvolution(QubitSpec(0.4, 2.0), CavityCoupling(0.1, 60)).traces(
+        vacuum, TimeGrid(0.0, 5.0, 10)
+    )
+
+
+def test_mismatched_n_min_rejected():
+    evo = SpectralEvolution(QubitSpec(0.4, 2.0), CavityCoupling(0.1, 60, 20))
+    other = JointState.from_product(QubitState.down(), fock_state(40, 60, 10), 60, 10)
+    with pytest.raises(ValueError, match="n_min=10"):
         evo.traces(other, TimeGrid(0.0, 5.0, 10))
 
 

@@ -14,8 +14,12 @@ from lzsim import (
     QubitState,
     SemiclassicalDrive,
     TruncationError,
+    ResourceLimitError,
+    SpectralEvolution,
     adequate_n_max,
+    adequate_n_min,
     coherent_state,
+    exact_splitting,
     fock_state,
     grwa_energy,
     grwa_state,
@@ -251,3 +255,115 @@ def test_grwa_energy_matches_spectrum_at_zero_gap():
         for m in range(4):
             target = grwa_energy(branch, m, q, cav)
             assert np.min(np.abs(energies - target)) < 1e-9
+
+
+# ------------------------------------------------------------- Fock window
+
+
+def test_cavity_window_validation():
+    cav = CavityCoupling(0.5, 10, 3)
+    assert (cav.levels, cav.dim) == (8, 16)
+    assert CavityCoupling(0.5, 10).levels == 11  # n_min defaults to 0
+    for bad in (-1, 10, 11, 3.0, None):
+        with pytest.raises(ValueError, match="n_min"):
+            CavityCoupling(0.5, 10, bad)
+
+
+def test_joint_state_window_validation():
+    vec = fock_state(5, 10, 3)
+    assert vec.size == 8 and vec[2] == 1.0
+    state = JointState.from_product(QubitState.down(), vec, 10, 3)
+    assert (state.n_min, state.levels) == (3, 8)
+    assert state.population_down() == 1.0
+    assert state.branch(Branch.DOWN)[2] == 1.0
+    with pytest.raises(ValueError):
+        JointState.from_product(QubitState.down(), fock_state(5, 10), 10, 3)  # full-length vector
+    with pytest.raises(ValueError):
+        JointState(state.amplitudes, 10, 2)  # length of a 3..10 window
+    for bad in (-1, 10, 2.5):
+        with pytest.raises(ValueError, match="n_min"):
+            JointState(np.ones(2) / math.sqrt(2.0), 10, bad)
+    with pytest.raises(ValueError):
+        fock_state(2, 10, 3)  # below the window
+
+
+def test_adequate_n_min_mirrors_n_max():
+    c = 10.0 / (4.0 * math.sqrt(1000.0))
+    assert adequate_n_min(1000.0, c) == 662
+    assert adequate_n_max(1000.0, c) - adequate_n_min(1000.0, c) == 676
+    assert adequate_n_min(10.0, 0.25) == 0
+    assert adequate_n_min(200.0, 1.0) == 26  # floor(38.58) - 12
+    for mean in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="mean occupation"):
+            adequate_n_min(mean, 0.1)
+    with pytest.raises(ValueError, match="coupling"):
+        adequate_n_min(10.0, math.inf)
+    for mean in (0.0, 3.0, 150.0, 1000.0, 5000.0):
+        for coupling in (0.0, 0.1, 1.0):
+            n_min = adequate_n_min(mean, coupling)
+            n_max = adequate_n_max(mean, coupling)
+            vec = coherent_state(math.sqrt(mean), n_max, n_min)  # must not raise
+            assert vec.size == n_max - n_min + 1
+
+
+def test_windowed_coherent_state_is_renormalised_slice():
+    alpha = math.sqrt(1000.0)
+    n_max = 1400
+    full = coherent_state(alpha, n_max)
+    for n_min in (1, 300, 662):
+        part = full[n_min:]
+        assert np.max(np.abs(coherent_state(alpha, n_max, n_min) - part / np.linalg.norm(part))) < 1e-14
+
+
+def test_coherent_state_window_guard():
+    alpha = math.sqrt(1000.0)  # alpha^2 - 10 alpha - 20 = 663.77
+    coherent_state(alpha, 1400, 663)
+    with pytest.raises(TruncationError, match="n_min=664"):
+        coherent_state(alpha, 1400, 664)
+    with pytest.raises(TruncationError):
+        coherent_state(0.0, 40, 1)  # the vacuum has all its weight at n = 0
+
+
+def test_coherent_state_rejects_non_finite_alpha():
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            coherent_state(alpha, 50)
+
+
+def test_windowed_hamiltonian_is_a_block_of_the_full_one():
+    q = QubitSpec(gap=0.3, bias=1.7)
+    n_min, n_max = 7, 30
+    full = rabi_hamiltonian(q, CavityCoupling(0.45, n_max))
+    part = rabi_hamiltonian(q, CavityCoupling(0.45, n_max, n_min))
+    keep = np.r_[n_min : n_max + 1, n_max + 1 + n_min : 2 * (n_max + 1)]
+    assert np.array_equal(part, full[np.ix_(keep, keep)])
+
+
+def test_windowed_grwa_state_is_a_slice_of_the_full_one():
+    full = grwa_state(Branch.DOWN, 30, CavityCoupling(0.4, 60))
+    part = grwa_state(Branch.DOWN, 30, CavityCoupling(0.4, 60, 10))
+    ref = full.branch(Branch.DOWN)[10:]
+    assert np.allclose(part.branch(Branch.DOWN), ref / np.linalg.norm(ref), atol=1e-14)
+    with pytest.raises(TruncationError, match="n_min=28"):
+        grwa_state(Branch.DOWN, 30, CavityCoupling(0.4, 60, 28))  # cuts the lower tail
+    with pytest.raises(ValueError):
+        grwa_state(Branch.DOWN, 9, CavityCoupling(0.4, 60, 10))
+
+
+# ----------------------------------------------------------- resource guard
+
+
+def test_dense_memory_guard_raises_before_allocating(monkeypatch):
+    import lzsim.models
+
+    monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 4 * 10**6)
+    qubit = QubitSpec(0.4, 2.0)
+    # 8 * (5 * 2002^2 + 6 * 2002) bytes
+    with pytest.raises(ResourceLimitError, match="dimension 2002 needs about 160416256 bytes"):
+        SpectralEvolution(qubit, CavityCoupling(0.1, 1000))
+    with pytest.raises(ResourceLimitError, match="4000000 bytes of physical memory"):
+        exact_splitting(qubit, CavityCoupling(0.1, 1000), 10, 2)
+    # the window is what is counted: 2 x 180 levels need 5.2 MB, 2 x 150 need 3.6 MB
+    with pytest.raises(ResourceLimitError, match="dimension 360"):
+        SpectralEvolution(qubit, CavityCoupling(0.1, 999, 820))
+    SpectralEvolution(qubit, CavityCoupling(0.1, 999, 850))
