@@ -56,11 +56,6 @@ _FIGURE_OFFSETS = ((1000.0, 0.25), (100.0, 0.5), (10.0, 0.75))
 def _cmd_rabi_freq(cfg: RunConfig):
     p = cfg.parameters
     ns = figure_photon_grid() if p["n"] == "figure" else p["n"]
-    if min(ns) + p["shift"] < 0.0:
-        raise ConfigError(
-            [f"rabi-freq: key 'shift': n + shift must stay nonnegative, "
-             f"got shift={p['shift']:g} with min(n)={min(ns)}"]
-        )
     qubit = QubitSpec(gap=p["gap"], bias=float(p["k"]))
     rows = comparison_grid(qubit, p["coupling"], p["k"], ns, p["shift"])
     header = ("n", "omega_s", "omega_q", "a_eff")
@@ -252,7 +247,11 @@ def main(argv=None) -> int:
         flags = {"offsets": args.offsets} if args.command == "evolve" else {}
 
         start = time.perf_counter()
-        header, rows, extra = _COMMANDS[args.command][0](cfg, **flags)
+        try:
+            header, rows, extra = _COMMANDS[args.command][0](cfg, **flags)
+        except ValueError as exc:
+            # input the key checks let through, refused by the library
+            raise ConfigError([f"{args.command}: {exc}"]) from exc
         elapsed = time.perf_counter() - start
 
         metadata = cfg.echo()

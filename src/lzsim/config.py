@@ -9,6 +9,8 @@ file entries, so a file can hold the common case and the shell the variation.
 import math
 from dataclasses import dataclass
 
+from .dynamics import STEPS_PER_PERIOD
+
 
 class ConfigError(Exception):
     """Invalid or incomplete run configuration.
@@ -243,7 +245,7 @@ def resolve(command: str, raw: dict) -> RunConfig:
             r.floating("phase", default=0.0)
             r.integer(
                 "steps-per-period",
-                default=4096,
+                default=STEPS_PER_PERIOD,
                 check=lambda v: v >= 16,
                 describe="must be >= 16",
             )

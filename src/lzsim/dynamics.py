@@ -27,6 +27,8 @@ from .errors import (
     NoPeakError,
     NormDriftError,
     TruncationError,
+    require_int,
+    require_real,
 )
 from .models import (
     CavityCoupling,
@@ -65,12 +67,9 @@ class TimeGrid:
     samples: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
-            raise ValueError("grid endpoints must be finite")
-        if not self.t1 > self.t0:
-            raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
-        if self.samples < 2:
-            raise ValueError(f"need at least 2 samples, got {self.samples}")
+        object.__setattr__(self, "t0", require_real("t0", self.t0))
+        object.__setattr__(self, "t1", require_real("t1", self.t1, self.t0, above=True))
+        object.__setattr__(self, "samples", require_int("samples", self.samples, 2))
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.samples)
@@ -88,8 +87,9 @@ class PopulationTrace:
         p = np.asarray(self.p_down, dtype=float)
         if times.shape != p.shape or times.ndim != 1:
             raise ValueError("times and p_down must be equal-length vectors")
-        if np.any(p < 0.0) or np.any(p > 1.0 + 1e-9):
-            raise ValueError("populations must lie in [0, 1]")
+        # written so that NaN fails too
+        if not (np.all(np.isfinite(times)) and np.all((p >= 0.0) & (p <= 1.0 + 1e-9))):
+            raise ValueError("times must be finite and populations lie in [0, 1]")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "p_down", p)
 
@@ -106,6 +106,8 @@ class QuadratureTrace:
         x = np.asarray(self.x_mean, dtype=float)
         if times.shape != x.shape or times.ndim != 1:
             raise ValueError("times and x_mean must be equal-length vectors")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(x))):
+            raise ValueError("times and x_mean must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "x_mean", x)
 
@@ -125,8 +127,7 @@ class DecayEstimate:
     def __post_init__(self):
         if not self.tau > 0.0:
             raise ValueError(f"decay time must be positive, got {self.tau}")
-        if not 0.0 <= self.quality <= 1.0:
-            raise ValueError(f"quality must lie in [0, 1], got {self.quality}")
+        object.__setattr__(self, "quality", require_real("quality", self.quality, 0.0, 1.0))
 
 
 def _cf4_step_matrices(qubit, drive, t_start, h, count):
@@ -183,6 +184,7 @@ def propagate_semiclassical(
     so this indicates a genuine numerical failure rather than expected
     integrator error).
     """
+    steps_per_period = require_int("steps_per_period", steps_per_period, 1)
     base = 2.0 * math.pi / steps_per_period
     times = grid.times()
     p = np.empty(times.size)
@@ -298,33 +300,6 @@ class SpectralEvolution:
 
         pop = PopulationTrace(times, np.clip(p, 0.0, 1.0))
         return pop, (QuadratureTrace(times, x) if quadrature else None)
-
-
-def propagate_quantum(
-    qubit: QubitSpec,
-    cavity: CavityCoupling,
-    initial: JointState,
-    grid: TimeGrid,
-) -> PopulationTrace:
-    """Down-state population P(t) in the quantized model.
-
-    Raises TruncationError when the initial state puts more than 1e-8 of
-    its norm in the outer 5% of the oscillator window at either edge (the
-    bottom edge only when n_min > 0).
-    """
-    pop, _ = SpectralEvolution(qubit, cavity).traces(initial, grid)
-    return pop
-
-
-def cavity_quadrature_trace(
-    qubit: QubitSpec,
-    cavity: CavityCoupling,
-    initial: JointState,
-    grid: TimeGrid,
-) -> QuadratureTrace:
-    """Oscillator position expectation <(a + a^dag)/2>(t)."""
-    _, quad = SpectralEvolution(qubit, cavity).traces(initial, grid, quadrature=True)
-    return quad
 
 
 def dominant_frequency(trace: PopulationTrace) -> float:

@@ -23,7 +23,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ResourceLimitError, TruncationError
+from .errors import ResourceLimitError, TruncationError, require_int, require_real
 from .specfun import displaced_fock_overlap
 
 _NORM_TOL = 1e-9
@@ -48,10 +48,8 @@ class QubitSpec:
     bias: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gap < math.inf:
-            raise ValueError(f"gap must be finite and nonnegative, got {self.gap}")
-        if not 0.0 <= self.bias < math.inf:
-            raise ValueError(f"bias must be finite and nonnegative, got {self.bias}")
+        object.__setattr__(self, "gap", require_real("gap", self.gap, 0.0))
+        object.__setattr__(self, "bias", require_real("bias", self.bias, 0.0))
 
 
 @dataclass(frozen=True)
@@ -62,10 +60,8 @@ class SemiclassicalDrive:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
+        object.__setattr__(self, "amplitude", require_real("amplitude", self.amplitude, 0.0))
+        object.__setattr__(self, "phase", require_real("phase", self.phase))
 
 
 @dataclass(frozen=True)
@@ -83,11 +79,10 @@ class CavityCoupling:
     n_min: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.coupling < math.inf:
-            raise ValueError(f"coupling must be finite and nonnegative, got {self.coupling}")
-        if not (isinstance(self.n_max, int) and self.n_max >= 1):
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
-        _check_window(self.n_min, self.n_max)
+        object.__setattr__(self, "coupling", require_real("coupling", self.coupling, 0.0))
+        n_min, n_max = _window(self.n_min, self.n_max)
+        object.__setattr__(self, "n_min", n_min)
+        object.__setattr__(self, "n_max", n_max)
 
     @property
     def levels(self) -> int:
@@ -98,9 +93,10 @@ class CavityCoupling:
         return 2 * self.levels
 
 
-def _check_window(n_min, n_max) -> None:
-    if not (isinstance(n_min, int) and 0 <= n_min < n_max):
-        raise ValueError(f"n_min must be an integer in [0, n_max={n_max}), got {n_min!r}")
+def _window(n_min, n_max) -> tuple[int, int]:
+    """The checked Fock window edges: integers with 0 <= n_min < n_max."""
+    n_max = require_int("n_max", n_max, 1)
+    return require_int("n_min", n_min, 0, n_max - 1), n_max
 
 
 def mixing_angle(qubit: QubitSpec) -> float:
@@ -117,6 +113,7 @@ def semiclassical_hamiltonian(
     qubit: QubitSpec, drive: SemiclassicalDrive, t: float
 ) -> np.ndarray:
     """Instantaneous 2x2 driven-qubit Hamiltonian in the sigma_z basis."""
+    t = require_real("t", t)
     z = 0.5 * (qubit.bias + drive.amplitude * math.cos(t + drive.phase))
     g = 0.5 * qubit.gap
     return np.array([[-z, -g], [-g, z]], dtype=float)
@@ -153,19 +150,18 @@ def rabi_hamiltonian(qubit: QubitSpec, cavity: CavityCoupling) -> np.ndarray:
     return h
 
 
-def _cutoff_pad(mean_occupation: float, coupling: float) -> int:
-    """Levels the coupling's displacement adds beyond either cutoff: ceil(4 c^2 + 8 c)."""
-    if not 0.0 <= mean_occupation < math.inf:
-        raise ValueError(f"mean occupation must be finite and nonnegative, got {mean_occupation}")
-    if not 0.0 <= coupling < math.inf:
-        raise ValueError(f"coupling must be finite and nonnegative, got {coupling}")
-    return math.ceil(4.0 * coupling * coupling + 8.0 * coupling)
+def _cutoff_pad(mean_occupation: float, coupling: float) -> tuple[float, int]:
+    """The checked mean, and the levels the coupling's displacement adds
+    beyond either cutoff: ceil(4 c^2 + 8 c)."""
+    mean = require_real("mean occupation", mean_occupation, 0.0)
+    c = require_real("coupling", coupling, 0.0)
+    return mean, math.ceil(4.0 * c * c + 8.0 * c)
 
 
 def adequate_n_max(mean_occupation: float, coupling: float) -> int:
     """Fock cutoff rule: mean + 10 sqrt(mean) + 20 + ceil(4 c^2 + 8 c)."""
-    pad = _cutoff_pad(mean_occupation, coupling)
-    return int(math.ceil(mean_occupation + 10.0 * math.sqrt(mean_occupation) + 20.0)) + pad
+    mean, pad = _cutoff_pad(mean_occupation, coupling)
+    return int(math.ceil(mean + 10.0 * math.sqrt(mean) + 20.0)) + pad
 
 
 def adequate_n_min(mean_occupation: float, coupling: float) -> int:
@@ -173,8 +169,8 @@ def adequate_n_min(mean_occupation: float, coupling: float) -> int:
 
     max(0, floor(mean - 10 sqrt(mean) - 20) - ceil(4 c^2 + 8 c)).
     """
-    pad = _cutoff_pad(mean_occupation, coupling)
-    low = math.floor(mean_occupation - 10.0 * math.sqrt(mean_occupation) - 20.0)
+    mean, pad = _cutoff_pad(mean_occupation, coupling)
+    low = math.floor(mean - 10.0 * math.sqrt(mean) - 20.0)
     return max(0, low - pad)
 
 
@@ -185,21 +181,27 @@ def _physical_memory() -> int | None:
         return None  # platform without sysconf: no guard
 
 
-def require_dense_memory(dim: int) -> None:
-    """Raise ResourceLimitError when a dense eigh at dim exceeds physical memory.
+def _require_memory(need: int, what: str) -> None:
+    """Raise ResourceLimitError when `need` bytes exceed physical memory.
 
-    Called before anything of that size is allocated.  The estimate counts
-    the matrix, LAPACK's working copy (overwritten by the eigenvectors), the
-    returned eigenvectors and the divide-and-conquer workspace of about
-    2 dim^2 doubles: 5 dim^2 doubles in all.
+    Called before anything of that size is allocated.
     """
-    need = 8 * (5 * dim * dim + 6 * dim)
     limit = _physical_memory()
     if limit is not None and need > limit:
         raise ResourceLimitError(
-            f"dense diagonalisation at dimension {dim} needs about {need} bytes, "
-            f"more than the {limit} bytes of physical memory"
+            f"{what} needs about {need} bytes, more than the {limit} bytes of physical memory"
         )
+
+
+def require_dense_memory(dim: int) -> None:
+    """Raise ResourceLimitError when a dense eigh at dim exceeds physical memory.
+
+    The estimate counts the matrix, LAPACK's working copy (overwritten by
+    the eigenvectors), the returned eigenvectors and the divide-and-conquer
+    workspace of about 2 dim^2 doubles: 5 dim^2 doubles in all.
+    """
+    dim = require_int("dim", dim, 1)
+    _require_memory(8 * (5 * dim * dim + 6 * dim), f"dense diagonalisation at dimension {dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +241,9 @@ class JointState:
     n_min: int = 0
 
     def __post_init__(self) -> None:
-        _check_window(self.n_min, self.n_max)
+        n_min, n_max = _window(self.n_min, self.n_max)
+        object.__setattr__(self, "n_min", n_min)
+        object.__setattr__(self, "n_max", n_max)
         amps = np.asarray(self.amplitudes, dtype=complex)
         expected = 2 * self.levels
         if amps.shape != (expected,):
@@ -267,6 +271,7 @@ class JointState:
     def from_product(
         cls, qubit: QubitState, cavity: np.ndarray, n_max: int, n_min: int = 0
     ) -> "JointState":
+        n_min, n_max = _window(n_min, n_max)
         cav = np.asarray(cavity, dtype=complex)
         levels = n_max - n_min + 1
         if cav.shape != (levels,):
@@ -276,9 +281,11 @@ class JointState:
 
 def fock_state(m: int, n_max: int, n_min: int = 0) -> np.ndarray:
     """Cavity amplitude vector for the Fock state |m> on the window n_min..n_max."""
-    if not (isinstance(m, int) and 0 <= n_min <= m <= n_max):
-        raise ValueError(f"Fock index m={m!r} outside [{n_min}, {n_max}]")
-    vec = np.zeros(n_max - n_min + 1, dtype=float)
+    n_min, n_max = _window(n_min, n_max)
+    m = require_int("m", m, n_min, n_max)
+    levels = n_max - n_min + 1
+    _require_memory(8 * levels, f"Fock state on {levels} levels")
+    vec = np.zeros(levels, dtype=float)
     vec[m - n_min] = 1.0
     return vec
 
@@ -290,11 +297,8 @@ def coherent_state(alpha: float, n_max: int, n_min: int = 0) -> np.ndarray:
     n_min <= alpha^2 - 10 alpha - 20, so the dropped tails are far below
     the renormalisation noise floor.
     """
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(
-            f"alpha must be finite and nonnegative (real positive convention), got {alpha}"
-        )
-    _check_window(n_min, n_max)
+    alpha = require_real("alpha", alpha, 0.0)
+    n_min, n_max = _window(n_min, n_max)
     needed = alpha * alpha + 10.0 * alpha + 20.0
     if n_max < needed:
         raise TruncationError(
@@ -308,6 +312,10 @@ def coherent_state(alpha: float, n_max: int, n_min: int = 0) -> np.ndarray:
         )
     if alpha == 0.0:
         return fock_state(0, n_max)
+    levels = n_max - n_min + 1
+    # about 64 bytes a level: the level grid, its lgamma list of Python
+    # floats and the vectors computed from them
+    _require_memory(64 * levels, f"coherent state on {levels} levels")
     m = np.arange(n_min, n_max + 1, dtype=float)
     log_amp = -0.5 * alpha * alpha + m * math.log(alpha) - 0.5 * _lgamma_array(m)
     amps = np.exp(log_amp)
@@ -344,8 +352,9 @@ def grwa_state(branch: Branch, m: int, cavity: CavityCoupling) -> JointState:
     cut to the window n_min..n_max, loses more than 1e-8 of its norm; the
     kept column is renormalised.
     """
-    if not (isinstance(m, int) and cavity.n_min <= m <= cavity.n_max):
-        raise ValueError(f"Fock index m={m!r} outside [{cavity.n_min}, {cavity.n_max}]")
+    m = require_int("m", m, cavity.n_min, cavity.n_max)
+    # the real column, its renormalised copy and the complex joint vector
+    _require_memory(48 * cavity.levels, f"displaced Fock state on {cavity.levels} levels")
     sign = 1.0 if branch == Branch.UP else -1.0
     col = _displaced_fock_column(m, sign * cavity.coupling, cavity.n_min, cavity.n_max)
     deficit = 1.0 - float(col @ col)
@@ -363,7 +372,6 @@ def grwa_state(branch: Branch, m: int, cavity: CavityCoupling) -> JointState:
 
 def grwa_energy(branch: Branch, m: int, qubit: QubitSpec, cavity: CavityCoupling) -> float:
     """Displaced-oscillator energy -/+ bias/2 + m - coupling^2 (minus for up)."""
-    if not (isinstance(m, int) and m >= 0):
-        raise ValueError(f"Fock index m={m!r} must be a nonnegative integer")
+    m = require_int("m", m)
     sign = -1.0 if branch == Branch.UP else 1.0
     return sign * 0.5 * qubit.bias + m - cavity.coupling**2

@@ -16,20 +16,14 @@ from __future__ import annotations
 
 import math
 
+from .errors import require_int, require_real
+
 MAX_BESSEL_ORDER = 10_000
 MAX_OVERLAP_INDEX = 1_000_000
 
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 _QUARTER_PI = 0.25 * math.pi
-
-
-def _check_order(k: int) -> int:
-    if not isinstance(k, (int,)) or isinstance(k, bool):
-        raise ValueError(f"order must be an integer, got {k!r}")
-    if k < 0 or k > MAX_BESSEL_ORDER:
-        raise ValueError(f"order k={k} outside supported range [0, {MAX_BESSEL_ORDER}]")
-    return k
 
 
 def bessel_j(k: int, x: float) -> float:
@@ -42,10 +36,8 @@ def bessel_j(k: int, x: float) -> float:
     below 1e-10 whenever |J_k(x)| > 1e-300; results smaller than that may
     flush to zero.
     """
-    _check_order(k)
-    x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"argument must be a finite nonnegative real, got x={x}")
+    k = require_int("k", k, 0, MAX_BESSEL_ORDER)
+    x = require_real("x", x, 0.0)
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
     if x <= 8.0 or x * x <= 2.0 * (k + 1):
@@ -133,9 +125,8 @@ def bessel_j_asymptotic(k: int, x: float) -> float:
     Accurate for x >> k^2; degrades badly once x approaches k.  Rejects x <= 0
     where the prefactor diverges.
     """
-    _check_order(k)
-    if not x > 0.0:
-        raise ValueError(f"asymptotic form needs x > 0, got x={x}")
+    k = require_int("k", k, 0, MAX_BESSEL_ORDER)
+    x = require_real("x", x, 0.0, above=True)
     return math.sqrt(2.0 / (math.pi * x)) * math.cos(x - (2 * k + 1) * _QUARTER_PI)
 
 
@@ -146,9 +137,8 @@ def bessel_j_adiabatic_impulse(k: int, x: float) -> float:
     keeps the turning-point phase that the plain stationary-phase form drops,
     so it stays accurate almost down to x = k.
     """
-    _check_order(k)
-    if not x > k:
-        raise ValueError(f"adiabatic-impulse form needs x > k, got x={x}, k={k}")
+    k = require_int("k", k, 0, MAX_BESSEL_ORDER)
+    x = require_real("x", x, k, above=True)
     s = math.sqrt(x * x - float(k) * k)
     phase = s - k * math.acos(k / x) - _QUARTER_PI
     return math.sqrt(2.0 / (math.pi * s)) * math.cos(phase)
@@ -163,20 +153,11 @@ def bessel_j_adiabatic_impulse_expanded(k: int, x: float) -> float:
     is accurate where that is small: at most 0.1 rad for
     x >= (k^4/2.4)^(1/3), but about 1.1 rad at k = 20, x = 21.
     """
-    _check_order(k)
-    if not x > k:
-        raise ValueError(f"expanded adiabatic-impulse form needs x > k, got x={x}, k={k}")
+    k = require_int("k", k, 0, MAX_BESSEL_ORDER)
+    x = require_real("x", x, k, above=True)
     s = math.sqrt(x * x - float(k) * k)
     phase = x - k * math.pi / 2.0 - _QUARTER_PI + k * k / (2.0 * x)
     return math.sqrt(2.0 / (math.pi * s)) * math.cos(phase)
-
-
-def _check_laguerre_args(n: int, k: int, x: float, x_name: str = "x") -> None:
-    for name, idx in (("degree n", n), ("order k", k)):
-        if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {idx!r}")
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"argument must be a finite nonnegative real, got {x_name}={x}")
 
 
 def assoc_laguerre_scaled(n: int, k: int, x: float) -> tuple[float, float]:
@@ -186,7 +167,9 @@ def assoc_laguerre_scaled(n: int, k: int, x: float) -> tuple[float, float]:
        (m+1) L_{m+1}^k = (2m+k+1-x) L_m^k - (m+k) L_{m-1}^k
     with running rescaling, so degrees up to ~1e6 never overflow.
     """
-    _check_laguerre_args(n, k, x)
+    n = require_int("n", n)
+    k = require_int("k", k)
+    x = require_real("x", x, 0.0)
     if n == 0:
         return 1.0, 0.0
     prev = 1.0               # L_0^k
@@ -216,10 +199,8 @@ def assoc_laguerre(n: int, k: int, x: float) -> float:
 
 def log_factorial_ratio(n: int, k: int) -> float:
     """(1/2) ln(n!/(n+k)!), evaluated through lgamma so nothing overflows."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    n = require_int("n", n)
+    k = require_int("k", k)
     return 0.5 * (math.lgamma(n + 1) - math.lgamma(n + k + 1))
 
 
@@ -230,7 +211,9 @@ def displaced_fock_overlap(n: int, k: int, d: float) -> float:
     log space and the Laguerre factor in scaled form, so the signed value is
     exact in sign and never overflows.  |result| <= 1 always.
     """
-    _check_laguerre_args(n, k, d, "d")
+    n = require_int("n", n)
+    k = require_int("k", k)
+    d = require_real("d", d, 0.0)
     if n + k > MAX_OVERLAP_INDEX:
         raise ValueError(f"n+k={n + k} above supported range {MAX_OVERLAP_INDEX}")
     if d == 0.0:

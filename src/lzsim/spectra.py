@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FitDegenerateError, PairIdentificationError
+from .errors import FitDegenerateError, PairIdentificationError, require_int, require_real
 from .models import (
     Branch,
     CavityCoupling,
@@ -40,24 +40,20 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def rabi_freq_weak_semiclassical(qubit: QubitSpec, amplitude: float) -> float:
     """Weak-drive resonant Rabi frequency (amplitude/2) cos(theta)."""
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be nonnegative")
+    amplitude = require_real("amplitude", amplitude, 0.0)
     return 0.5 * amplitude * math.cos(mixing_angle(qubit))
 
 
 def jc_splitting(n: int, qubit: QubitSpec, coupling: float) -> float:
     """Resonant one-photon splitting 2 c cos(theta) sqrt(n), n >= 1."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"photon number n={n!r} must be an integer >= 1")
-    if coupling < 0.0:
-        raise ValueError("coupling must be nonnegative")
+    n = require_int("n", n, 1)
+    coupling = require_real("coupling", coupling, 0.0)
     return 2.0 * coupling * math.cos(mixing_angle(qubit)) * math.sqrt(n)
 
 
 def rabi_freq_semiclassical(qubit: QubitSpec, amplitude: float, k: int) -> float:
     """Strong-driving k-resonance Rabi frequency gap * J_k(amplitude), signed."""
-    if amplitude < 0.0:
-        raise ValueError("amplitude must be nonnegative")
+    amplitude = require_real("amplitude", amplitude, 0.0)
     return qubit.gap * bessel_j(k, amplitude)
 
 
@@ -67,18 +63,14 @@ def rabi_freq_quantum(qubit: QubitSpec, coupling: float, n: int, k: int) -> floa
     gap * exp(-2c^2) (2c)^k sqrt(n!/(n+k)!) L_n^k(4c^2); the sign of the
     Laguerre factor is kept.
     """
-    if coupling < 0.0:
-        raise ValueError("coupling must be nonnegative")
+    coupling = require_real("coupling", coupling, 0.0)
     return qubit.gap * displaced_fock_overlap(n, k, 2.0 * coupling)
 
 
 def equivalent_amplitude(coupling: float, n: float, shift: float = 0.0) -> float:
     """Effective classical amplitude 4 c sqrt(n + shift); all finite, c and n + shift >= 0."""
-    if not 0.0 <= coupling < math.inf:
-        raise ValueError(f"coupling must be finite and nonnegative, got {coupling}")
-    radicand = n + shift
-    if not 0.0 <= radicand < math.inf:
-        raise ValueError(f"n + shift must be finite and nonnegative, got n={n}, shift={shift}")
+    coupling = require_real("coupling", coupling, 0.0)
+    radicand = require_real("n + shift", n + shift, 0.0)  # finite only if n and shift are
     return 4.0 * coupling * math.sqrt(radicand)
 
 
@@ -91,8 +83,8 @@ def exact_splitting(qubit: QubitSpec, cavity: CavityCoupling, n: int, k: int) ->
     ResourceLimitError, before allocating, when the diagonalisation would
     not fit in physical memory.
     """
-    if not (isinstance(n, int) and n >= 0 and isinstance(k, int) and k >= 0):
-        raise ValueError("n and k must be nonnegative integers")
+    n = require_int("n", n)
+    k = require_int("k", k)
     if abs(qubit.bias - k) > 1e-9:
         raise ValueError(f"resonance requires bias = k, got bias={qubit.bias}, k={k}")
     if n + k > cavity.n_max:
@@ -122,6 +114,14 @@ class ComparisonRow:
     a_eff: float
 
 
+def _photon_grid(n_values: Iterable[int]) -> list[int]:
+    """The distinct photon numbers, checked as integers >= 0, in ascending order."""
+    ns = sorted({require_int("n", n) for n in n_values})
+    if not ns:
+        raise ValueError("empty photon-number grid")
+    return ns
+
+
 def comparison_grid(
     qubit: QubitSpec,
     coupling: float,
@@ -134,15 +134,12 @@ def comparison_grid(
     Runs on the k-photon resonance (bias = k enforced).  Rows are
     independent, so evaluation order is irrelevant.
     """
-    if not (isinstance(k, int) and k >= 0):
-        raise ValueError("k must be a nonnegative integer")
+    k = require_int("k", k)
+    coupling = require_real("coupling", coupling, 0.0)
+    shift = require_real("shift", shift)
     if abs(qubit.bias - k) > 1e-9:
         raise ValueError(f"resonance requires bias = k, got bias={qubit.bias}, k={k}")
-    ns = sorted({int(n) for n in n_values})
-    if not ns:
-        raise ValueError("empty photon-number grid")
-    if ns[0] < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    ns = _photon_grid(n_values)
     rows = []
     for n in ns:
         a_eff = equivalent_amplitude(coupling, n, shift)
@@ -172,6 +169,8 @@ def agreement_onset(
     from breaking an otherwise sustained agreement.  Returns None when even
     the last point disagrees.
     """
+    gap = require_real("gap", gap, 0.0)
+    rel_tol = require_real("rel_tol", rel_tol, 0.0)
     onset = None
     for row in rows:
         scale = max(abs(row.omega_s), abs(row.omega_q), 0.125 * gap)
@@ -204,15 +203,9 @@ def fit_amplitude_shift(
     nonnegative).  Raises FitDegenerateError when the objective is flat over
     the bracket.
     """
-    if not (isinstance(k, int) and k >= 0):
-        raise ValueError("k must be a nonnegative integer")
-    if coupling <= 0.0:
-        raise ValueError("coupling must be positive for a meaningful fit")
-    ns = sorted({int(n) for n in n_values})
-    if not ns:
-        raise ValueError("empty photon-number grid")
-    if ns[0] < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    k = require_int("k", k)
+    coupling = require_real("coupling", coupling, 0.0, above=True)
+    ns = _photon_grid(n_values)
 
     targets = [rabi_freq_quantum(qubit, coupling, n, k) for n in ns]
 
@@ -254,6 +247,8 @@ def fit_amplitude_shift(
 
 def predicted_shift(coupling: float, k: int) -> float:
     """Empirical offset formula k/2 + 1/2 - c^2/3 for the equivalent amplitude."""
+    coupling = require_real("coupling", coupling, 0.0)
+    k = require_int("k", k)
     return 0.5 * k + 0.5 - coupling * coupling / 3.0
 
 
@@ -269,8 +264,8 @@ def bessel_laguerre_identity_error(x: float, n: int, k: int) -> float:
     offset that the 1e-3 floor still magnifies near Bessel zeros.  The
     correspondence holds for large n at 4 x sqrt(n + predicted_shift(x, k)).
     """
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
+    x = require_real("x", x, 0.0)
+    n = require_int("n", n)
     lhs = bessel_j(k, 4.0 * x * math.sqrt(n))
     rhs = displaced_fock_overlap(n, k, 2.0 * x)
     return abs(lhs - rhs) / max(abs(lhs), 1e-3)

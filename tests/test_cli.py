@@ -335,6 +335,17 @@ def test_evolve_window_metadata(capsys):
     assert code == 3 and "n-min=149, n-max=150" in err
 
 
+def test_library_input_error_is_a_config_error(capsys):
+    # the key checks cannot see that m lies above an explicit n-max; the
+    # library's ValueError still ends as exit 2, naming the argument
+    code, out, err = run_cli(
+        capsys, "evolve", "picture=quantum", "gap=0.4", "bias=2", "coupling=0.25",
+        "initial=fock", "m=50", "n-max=10", "t-end=1", "samples=3",
+    )
+    assert code == 2 and out == ""
+    assert err == "lzsim: config error: evolve: m must be an integer in [0, 10], got m=50\n"
+
+
 def test_evolve_refuses_a_diagonalisation_beyond_memory(capsys, monkeypatch):
     # mean 1e6 needs a window of dimension 40,094: about 64 GB for eigh.
     # The guard must fire before the evolution or the coherent state

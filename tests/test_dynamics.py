@@ -12,6 +12,7 @@ from lzsim import (
     JointState,
     NoPeakError,
     PopulationTrace,
+    QuadratureTrace,
     QubitSpec,
     QubitState,
     SemiclassicalDrive,
@@ -20,13 +21,11 @@ from lzsim import (
     TruncationError,
     adequate_n_max,
     adequate_n_min,
-    cavity_quadrature_trace,
     coherent_state,
     dominant_frequency,
     estimate_decay_time,
     fock_state,
     jc_splitting,
-    propagate_quantum,
     propagate_semiclassical,
     rabi_hamiltonian,
 )
@@ -61,6 +60,24 @@ def test_population_trace_validation():
         PopulationTrace(t, np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
         PopulationTrace(t, np.array([0.1, -0.2, 0.3, 0.4]))
+
+
+def test_traces_reject_non_finite_samples():
+    # one NaN sample used to pass the [0, 1] check and shift the spectral
+    # peak of this 0.3 rad/unit cosine to 0.0627
+    t = np.linspace(0.0, 100.0, 400)
+    p = 0.5 + 0.5 * np.cos(0.3 * t)
+    assert dominant_frequency(PopulationTrace(t, p)) == pytest.approx(0.3, rel=0.02)
+    p[200] = math.nan
+    with pytest.raises(ValueError, match="populations"):
+        PopulationTrace(t, p)
+    bad_t = t.copy()
+    bad_t[-1] = math.inf
+    with pytest.raises(ValueError, match="times"):
+        PopulationTrace(bad_t, np.full(400, 0.5))
+    for times, x in [(t, p), (bad_t, np.zeros(400))]:
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureTrace(times, x)
 
 
 def test_decay_estimate_validation():
@@ -152,7 +169,7 @@ def test_decoupled_population_is_constant():
     qubit = QubitSpec(0.0, 0.8)
     cavity = CavityCoupling(0.5, 60)
     initial = JointState.from_product(QubitState.down(), coherent_state(2.0, 60), 60)
-    trace = propagate_quantum(qubit, cavity, initial, TimeGrid(0.0, 30.0, 151))
+    trace, _ = SpectralEvolution(qubit, cavity).traces(initial, TimeGrid(0.0, 30.0, 151))
     assert np.max(np.abs(trace.p_down - 1.0)) < 1e-12
 
 
@@ -163,7 +180,7 @@ def test_free_oscillator_quadrature():
     cavity = CavityCoupling(0.0, 40)
     initial = JointState.from_product(QubitState.down(), coherent_state(alpha, 40), 40)
     grid = TimeGrid(0.0, 20.0, 301)
-    quad = cavity_quadrature_trace(qubit, cavity, initial, grid)
+    _, quad = SpectralEvolution(qubit, cavity).traces(initial, grid, quadrature=True)
     assert np.max(np.abs(quad.x_mean - alpha * np.cos(grid.times()))) < 1e-12
 
 
@@ -174,7 +191,7 @@ def test_displaced_equilibrium_oscillation():
     cavity = CavityCoupling(c, 40)
     initial = JointState.from_product(QubitState.up(), fock_state(0, 40), 40)
     grid = TimeGrid(0.0, 4.0 * 2.0 * math.pi, 257)
-    quad = cavity_quadrature_trace(QubitSpec(0.0, 0.0), cavity, initial, grid)
+    _, quad = SpectralEvolution(QubitSpec(0.0, 0.0), cavity).traces(initial, grid, quadrature=True)
     ref = c * (1.0 - np.cos(grid.times()))
     assert np.max(np.abs(quad.x_mean - ref)) < 1e-8
     assert quad.x_mean.min() > -1e-8
@@ -186,7 +203,7 @@ def test_initial_sample_matches_state():
     qubit = QubitSpec(0.4, 2.0)
     cavity = CavityCoupling(0.3, 50)
     initial = JointState.from_product(QubitState.down(), coherent_state(1.5, 50), 50)
-    trace = propagate_quantum(qubit, cavity, initial, TimeGrid(0.0, 1.0, 8))
+    trace, _ = SpectralEvolution(qubit, cavity).traces(initial, TimeGrid(0.0, 1.0, 8))
     assert trace.p_down[0] == pytest.approx(initial.population_down(), abs=1e-12)
 
 
@@ -286,7 +303,7 @@ def test_strong_coupling_coherent_sidebands():
     initial = JointState.from_product(
         QubitState.down(), coherent_state(math.sqrt(10.0), n_max), n_max
     )
-    trace = propagate_quantum(qubit, cavity, initial, TimeGrid(0.0, 1600.0, 4096))
+    trace, _ = SpectralEvolution(qubit, cavity).traces(initial, TimeGrid(0.0, 1600.0, 4096))
     main = dominant_frequency(trace)
     assert main == pytest.approx(0.083, rel=0.03)
 

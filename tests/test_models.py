@@ -367,3 +367,20 @@ def test_dense_memory_guard_raises_before_allocating(monkeypatch):
     with pytest.raises(ResourceLimitError, match="dimension 360"):
         SpectralEvolution(qubit, CavityCoupling(0.1, 999, 820))
     SpectralEvolution(qubit, CavityCoupling(0.1, 999, 850))
+
+
+def test_state_constructors_guard_memory_before_allocating(monkeypatch):
+    # the first four vectors need more than the faked 4 MB; the guard must
+    # raise before numpy is asked for them
+    import lzsim.models
+
+    monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 4 * 10**6)
+    with pytest.raises(ResourceLimitError, match="4000000 bytes of physical memory"):
+        coherent_state(1e6, adequate_n_max(1e12, 0.1))
+    with pytest.raises(ResourceLimitError, match="on 1000001 levels needs about 8000008 bytes"):
+        fock_state(0, 10**6)
+    with pytest.raises(ResourceLimitError, match="coherent state on"):
+        coherent_state(10.0, 10**5)  # 6.4 MB for the coherent amplitudes
+    with pytest.raises(ResourceLimitError, match="displaced Fock state"):
+        grwa_state(Branch.UP, 0, CavityCoupling(0.1, 10**12))
+    assert fock_state(0, 10**5).size == 10**5 + 1  # 0.8 MB fits
