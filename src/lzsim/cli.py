@@ -48,10 +48,6 @@ from .spectra import (
 )
 from .dynamics import SpectralEvolution, TimeGrid, propagate_semiclassical
 
-# presentation shifts used in the reference time-domain figure, keyed by the
-# mean photon number of the initial coherent state (matched within 1%)
-_FIGURE_OFFSETS = ((1000.0, 0.25), (100.0, 0.5), (10.0, 0.75))
-
 
 def _cmd_rabi_freq(cfg: RunConfig):
     p = cfg.parameters
@@ -62,7 +58,7 @@ def _cmd_rabi_freq(cfg: RunConfig):
     return header, [(float(r.n), r.omega_s, r.omega_q, r.a_eff) for r in rows], {}
 
 
-def _cmd_evolve(cfg: RunConfig, offsets: bool):
+def _cmd_evolve(cfg: RunConfig):
     p = cfg.parameters
     qubit = QubitSpec(gap=p["gap"], bias=p["bias"])
     grid = TimeGrid(t0=0.0, t1=p["t-end"], samples=p["samples"])
@@ -75,7 +71,6 @@ def _cmd_evolve(cfg: RunConfig, offsets: bool):
             steps_per_period=p["steps-per-period"],
         )
         quad = None
-        offset = 0.0
     else:
         coupling = p["coupling"]
         mean = p["mean"] if p["initial"] == "coherent" else float(p["m"])
@@ -99,22 +94,13 @@ def _cmd_evolve(cfg: RunConfig, offsets: bool):
                 f"quantum evolution with initial={p['initial']}, "
                 f"mean occupation {mean:g}, n-min={n_min}, n-max={n_max}: {exc}"
             ) from exc
-        offset = 0.0
-        if offsets and p["initial"] == "coherent":
-            for target, shift in _FIGURE_OFFSETS:
-                if abs(mean - target) <= 0.01 * target:
-                    offset = shift
-                    break
 
-    if offsets:
-        extra["presentation-offset"] = format(offset, ".17g")
-    p_down = trace.p_down - offset
     if quad is not None:
         header = ("t", "p_down", "x_mean")
-        rows = list(zip(trace.times, p_down, quad.x_mean))
+        rows = list(zip(trace.times, trace.p_down, quad.x_mean))
     else:
         header = ("t", "p_down")
-        rows = list(zip(trace.times, p_down))
+        rows = list(zip(trace.times, trace.p_down))
     return header, rows, extra
 
 
@@ -168,7 +154,8 @@ def _cmd_identity_sweep(cfg: RunConfig):
     return ("x", "n", "k", "error"), rows, {}
 
 
-# subcommand name -> (handler, help text); the parser and main both read it
+# subcommand name -> (handler, help text); the parser and main both read it.
+# Every handler maps a RunConfig to (header, rows, extra metadata).
 _COMMANDS = {
     "rabi-freq": (
         _cmd_rabi_freq,
@@ -217,12 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", metavar="PATH", help="flat key = value config file")
         cmd.add_argument("--out", metavar="PATH", help="output path ('-' or absent: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), help="artifact format (default csv)")
-        if name == "evolve":
-            cmd.add_argument(
-                "--offsets", action="store_true",
-                help="apply the reference figure's presentation down-shifts "
-                "(0.25/0.5/0.75 for coherent means 1000/100/10)",
-            )
     return parser
 
 
@@ -243,12 +224,10 @@ def main(argv=None) -> int:
         if fmt not in ("csv", "json"):
             raise ConfigError([f"format must be csv or json, got {fmt!r}"])
         cfg = resolve(args.command, raw)
-        # --offsets exists only on evolve, the only handler that takes it
-        flags = {"offsets": args.offsets} if args.command == "evolve" else {}
 
         start = time.perf_counter()
         try:
-            header, rows, extra = _COMMANDS[args.command][0](cfg, **flags)
+            header, rows, extra = _COMMANDS[args.command][0](cfg)
         except ValueError as exc:
             # input the key checks let through, refused by the library
             raise ConfigError([f"{args.command}: {exc}"]) from exc

@@ -20,8 +20,6 @@ class ConfigError(Exception):
     """
 
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
@@ -56,6 +54,10 @@ def parse_int(text: str) -> int:
     return int(value)
 
 
+# the longest range, n=0:1000000:1: every index displaced_fock_overlap accepts
+_MAX_RANGE_VALUES = 1_000_001
+
+
 def parse_float_list(text: str) -> list[float]:
     """Scalar, comma list, or inclusive start:stop:step range."""
     body = text.strip()
@@ -69,8 +71,10 @@ def parse_float_list(text: str) -> list[float]:
         if stop < start:
             raise ValueError(f"range stop must be >= start, got {text!r}")
         # 1e-9 slack keeps the endpoint in despite rounding of (stop-start)/step
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
+        intervals = (stop - start) / step + 1e-9
+        if not intervals < _MAX_RANGE_VALUES:  # an infinite count too, before allocating
+            raise ValueError(f"range {text!r} has more than {_MAX_RANGE_VALUES} values")
+        return [start + i * step for i in range(math.floor(intervals) + 1)]
     if "," in body:
         return [parse_float(p) for p in body.split(",")]
     return [parse_float(body)]
@@ -179,15 +183,9 @@ class _Resolver:
         )
 
     def _list(self, key, parse_list, required, default, check, describe):
-        def parse_and_screen(text):
-            values = parse_list(text)
-            if not values:
-                raise ValueError("empty list")
-            return values
-
         self._fetch(
             key,
-            parse_and_screen,
+            parse_list,
             default,
             required,
             check=lambda vs: check is None or all(check(v) for v in vs),

@@ -84,9 +84,7 @@ def _bessel_miller(k: int, x: float) -> float:
     above = 0.0  # trial J_{m+1}
     cur = 1.0    # trial J_m
     sum_even = cur if m_start >= 2 else 0.0  # m_start is even by construction
-    target = 0.0
-    target_debt = 0
-    debt = 0
+    target = 0.0  # trial J_k, rescaled with the rest once recorded
 
     m = m_start
     while m >= 1:
@@ -96,27 +94,15 @@ def _bessel_miller(k: int, x: float) -> float:
         m -= 1
         if m == k:
             target = cur
-            target_debt = debt
         if m >= 2 and (m & 1) == 0:
             sum_even += cur
         if abs(cur) > _RESCALE:
             cur /= _RESCALE
             above /= _RESCALE
             sum_even /= _RESCALE
-            debt += 1
+            target /= _RESCALE
 
-    norm = 2.0 * sum_even + cur  # cur is now the trial J_0
-    lag = debt - target_debt
-    if lag == 0:
-        return target / norm
-    if target == 0.0:
-        return 0.0
-    # target was recorded before `lag` rescalings; divide it out in log space
-    sign = math.copysign(1.0, target) * math.copysign(1.0, norm)
-    value = math.log(abs(target)) - math.log(abs(norm)) - lag * _LOG_RESCALE
-    if value < -745.0:
-        return math.copysign(0.0, sign)
-    return math.copysign(math.exp(value), sign)
+    return target / (2.0 * sum_even + cur)  # cur is now the trial J_0
 
 
 def bessel_j_asymptotic(k: int, x: float) -> float:
@@ -165,9 +151,9 @@ def assoc_laguerre_scaled(n: int, k: int, x: float) -> tuple[float, float]:
 
     Three-term recurrence
        (m+1) L_{m+1}^k = (2m+k+1-x) L_m^k - (m+k) L_{m-1}^k
-    with running rescaling, so degrees up to ~1e6 never overflow.
+    with running rescaling, so no degree up to MAX_OVERLAP_INDEX overflows.
     """
-    n = require_int("n", n)
+    n = require_int("n", n, 0, MAX_OVERLAP_INDEX)
     k = require_int("k", k)
     x = require_real("x", x, 0.0)
     if n == 0:
@@ -192,8 +178,7 @@ def assoc_laguerre(n: int, k: int, x: float) -> float:
     value = math.log(abs(mantissa)) + log_scale
     if value > 709.0:
         return math.copysign(math.inf, mantissa)
-    if value < -745.0:
-        return math.copysign(0.0, mantissa)
+    # no underflow: log_scale >= ln(1e250) here and ln|mantissa| >= -744.4
     return math.copysign(math.exp(value), mantissa)
 
 

@@ -266,8 +266,9 @@ def bessel_laguerre_identity_error(x: float, n: int, k: int) -> float:
     """
     x = require_real("x", x, 0.0)
     n = require_int("n", n)
-    lhs = bessel_j(k, 4.0 * x * math.sqrt(n))
+    # the overlap first: its index bound refuses before the O(x) Bessel pass
     rhs = displaced_fock_overlap(n, k, 2.0 * x)
+    lhs = bessel_j(k, 4.0 * x * math.sqrt(n))
     return abs(lhs - rhs) / max(abs(lhs), 1e-3)
 
 

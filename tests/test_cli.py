@@ -78,6 +78,10 @@ def test_parse_float_list():
         parse_float_list("0:1:0")  # step must be positive
     with pytest.raises(ValueError):
         parse_float_list("0:1")  # malformed range
+    assert len(parse_float_list("0:1000000:1")) == 1_000_001  # the longest range
+    for runaway in ("0:1e300:1e-300", "0:1e12:1", "0:1000001:1"):
+        with pytest.raises(ValueError, match="has more than 1000001 values"):
+            parse_float_list(runaway)  # refused before any list is built
 
 
 def test_parse_int_list():
@@ -389,6 +393,26 @@ def test_malformed_override(capsys):
     assert "key=value" in err
 
 
+def test_non_numeric_value(capsys):
+    code, out, err = run_cli(capsys, "rabi-freq", "coupling=0.1", "k=0", "n=0", "gap=abc")
+    assert code == 2 and out == ""
+    assert err == "lzsim: config error: rabi-freq: key 'gap': expected a number, got 'abc'\n"
+
+
+def test_runaway_range(capsys):
+    code, out, err = run_cli(capsys, "identity-sweep", "x=0.1", "n=0:1e12:1", "k=0")
+    assert code == 2 and out == ""
+    assert "key 'n': range '0:1e12:1' has more than 1000001 values" in err
+
+
+def test_config_file_with_unknown_format(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coupling = 0.1\nk = 0\nn = 0\nformat = xml\n")
+    code, out, err = run_cli(capsys, "rabi-freq", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "lzsim: config error: format must be csv or json, got 'xml'\n"
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("coupling = 0.1\nk = 0\nn = 0,4\ngap = 0.01\n")
@@ -469,6 +493,17 @@ def test_fit_shift_run(capsys):
         assert abs(row[2] - row[4]) < 0.1  # fit lands near the prediction
 
 
+def test_fit_shift_marks_a_flat_cell(capsys):
+    # at gap 1e-12 the objective is flat: the cell holds NaN, the run succeeds
+    code, out, _ = run_cli(capsys, "fit-shift", "coupling=0.1", "k=0", "n=100", "gap=1e-12")
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert header == ["coupling", "k", "offset", "residual", "predicted"]
+    (row,) = rows
+    assert math.isnan(float(row[2])) and math.isnan(float(row[3]))
+    assert float(row[4]) == pytest.approx(0.5 - 0.01 / 3.0, rel=1e-14)
+
+
 def test_deterministic_artifacts(tmp_path, capsys):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:
@@ -485,30 +520,6 @@ def test_deterministic_artifacts(tmp_path, capsys):
         ]
 
     assert stripped(paths[0]) == stripped(paths[1])
-
-
-def test_offsets_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "evolve", "picture=quantum", "gap=0.4", "bias=2",
-        "coupling=0.79", "initial=coherent", "mean=10",
-        "t-end=5", "samples=3", "--offsets", "--format", "json",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["metadata"]["presentation-offset"] == "0.75"
-    assert doc["rows"][0][1] == pytest.approx(1.0 - 0.75, abs=1e-9)
-
-
-def test_offsets_flag_leaves_other_means_alone(capsys):
-    code, out, _ = run_cli(
-        capsys, "evolve", "picture=quantum", "gap=0.4", "bias=2",
-        "coupling=0.5", "initial=coherent", "mean=25",
-        "t-end=5", "samples=3", "--offsets", "--format", "json",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["metadata"]["presentation-offset"] == "0"
-    assert doc["rows"][0][1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_version_flag(capsys):

@@ -29,6 +29,7 @@ from lzsim import (
     propagate_semiclassical,
     rabi_hamiltonian,
 )
+from lzsim import dynamics
 from lzsim.dynamics import _cf4_step_matrices
 
 
@@ -159,6 +160,19 @@ def test_step_halving_convergence():
     err128 = np.max(np.abs(runs[128] - runs[8192]))
     assert err128 < err64 / 8.0  # fourth-order scheme: halving gains ~16x
     assert np.max(np.abs(runs[4096] - runs[8192])) < 1e-6
+
+
+def test_long_interval_spans_several_step_chunks(monkeypatch):
+    # one interval of 20 periods is 81,920 substeps at the default step,
+    # more than one chunk of step matrices; the split must not show
+    qubit = QubitSpec(0.4, 2.0)
+    drive = SemiclassicalDrive(10.0, 0.0)
+    grid = TimeGrid(0.0, 20.0 * 2.0 * math.pi, 2)
+    assert 20 * 4096 > dynamics._SUBSTEP_CHUNK
+    chunked = propagate_semiclassical(qubit, drive, QubitState.down(), grid).p_down
+    monkeypatch.setattr(dynamics, "_SUBSTEP_CHUNK", 1 << 20)
+    whole = propagate_semiclassical(qubit, drive, QubitState.down(), grid).p_down
+    assert np.max(np.abs(chunked - whole)) < 1e-12
 
 
 # ------------------------------------------------------- quantum propagator

@@ -22,7 +22,7 @@ from lzsim.cli import main
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # metadata that differs from run to run or from one invocation style to another
-VOLATILE_KEYS = frozenset(("wall-time-s", "out", "workers"))
+VOLATILE_KEYS = frozenset(("wall-time-s", "out"))
 
 CASES = {
     "rabi-freq": ("rabi-freq", "coupling=0.1", "k=2", "n=figure", "gap=0.01"),

@@ -52,7 +52,7 @@ from lzsim import (
     semiclassical_hamiltonian,
 )
 from lzsim.models import require_dense_memory
-from lzsim.specfun import MAX_BESSEL_ORDER, log_factorial_ratio
+from lzsim.specfun import MAX_BESSEL_ORDER, MAX_OVERLAP_INDEX, log_factorial_ratio
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 REAL, INT = "real", "int"
@@ -93,9 +93,9 @@ TABLE = [
     *rows(bessel_j_adiabatic_impulse_expanded, dict(k=2, x=5.0),
           ("k", INT, (-1,)), ("x", REAL, (2.0, 1.0))),
     *rows(assoc_laguerre_scaled, dict(n=3, k=1, x=0.5),
-          ("n", INT, (-1,)), ("k", INT, (-1,)), ("x", REAL, (-0.5,))),
+          ("n", INT, (-1, MAX_OVERLAP_INDEX + 1)), ("k", INT, (-1,)), ("x", REAL, (-0.5,))),
     *rows(assoc_laguerre, dict(n=3, k=1, x=0.5),
-          ("n", INT, (-1,)), ("k", INT, (-1,)), ("x", REAL, (-0.5,))),
+          ("n", INT, (-1, MAX_OVERLAP_INDEX + 1)), ("k", INT, (-1,)), ("x", REAL, (-0.5,))),
     *rows(log_factorial_ratio, dict(n=3, k=1), ("n", INT, (-1,)), ("k", INT, (-1,))),
     *rows(displaced_fock_overlap, dict(n=3, k=1, d=0.5),
           ("n", INT, (-1,)), ("k", INT, (-1,)), ("d", REAL, (-0.5,))),

@@ -56,6 +56,14 @@ def test_bessel_known_values():
     assert abs(bessel_j(0, 2.404825557695773)) < 1e-12
 
 
+def test_bessel_tiny_value_keeps_relative_accuracy():
+    # J_3000(2000) ~ 1.3e-285: the Miller pass rescales after recording it,
+    # and abs=0 so a flushed or wrongly scaled tiny value cannot pass
+    assert bessel_j(3000, 2000.0) == pytest.approx(
+        oracles.bessel_ref(3000, 2000.0), rel=1e-10, abs=0.0
+    )
+
+
 def test_bessel_rejects_bad_arguments():
     with pytest.raises(ValueError):
         bessel_j(-1, 1.0)
@@ -130,12 +138,19 @@ def test_laguerre_scaled_consistency():
 
 
 def test_laguerre_scaled_survives_huge_values():
-    # L_n(x) for large n and sizable x overflows a double; the scaled form
-    # must still carry the sign and magnitude in log space
-    mantissa, log_scale = assoc_laguerre_scaled(100_000, 0, 4.0)
-    assert math.isfinite(mantissa) and math.isfinite(log_scale)
-    ref = oracles.mp.log(abs(oracles.mp.laguerre(100_000, 0, 4.0)))
-    assert math.log(abs(mantissa)) + log_scale == pytest.approx(float(ref), rel=1e-9)
+    # a long recurrence that stays in range (log_scale 0), and L_500^3(2000)
+    # ~ exp(994.8), which overflows a double: the scaled form must carry the
+    # sign and magnitude in log space
+    for n, k, x, rescaled in [(100_000, 0, 4.0, False), (500, 3, 2000.0, True)]:
+        mantissa, log_scale = assoc_laguerre_scaled(n, k, x)
+        assert math.isfinite(mantissa) and math.isfinite(log_scale)
+        assert (log_scale > 0.0) == rescaled
+        ref = oracles.mp.laguerre(n, k, x)
+        assert math.copysign(1.0, mantissa) == oracles.mp.sign(ref)
+        assert math.log(abs(mantissa)) + log_scale == pytest.approx(
+            float(oracles.mp.log(abs(ref))), rel=1e-9
+        )
+    assert assoc_laguerre(500, 0, 2000.0) == math.inf
 
 
 def test_laguerre_rejects_bad_arguments():

@@ -266,6 +266,16 @@ def test_identity_error_rejects_negative_x():
         bessel_laguerre_identity_error(-0.1, 10, 0)
 
 
+def test_identity_error_refuses_huge_n_before_the_bessel_pass(monkeypatch):
+    # J_0(4e7) alone would take seconds; the overlap's index bound must come first
+    def no_bessel(k, x):
+        raise AssertionError(f"bessel_j({k}, {x}) evaluated before the index check")
+
+    monkeypatch.setattr("lzsim.spectra.bessel_j", no_bessel)
+    with pytest.raises(ValueError, match="above supported range"):
+        bessel_laguerre_identity_error(0.1, 10**16, 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=50, max_value=1000),
