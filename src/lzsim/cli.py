@@ -1,12 +1,7 @@
 """Command-line interface: config in, CSV/JSON artifact out.
 
-Subcommands map one-to-one onto the library's computations:
-
-  rabi-freq       both Rabi-frequency routes over a photon-number grid
-  evolve          time-domain population trace, either picture
-  fit-shift       fitted photon-number offset per (coupling, k) cell
-  bessel-approx   Bessel approximations and their absolute errors
-  identity-sweep  Bessel/Laguerre correspondence error over an (x, n, k) grid
+Subcommands map one-to-one onto the library's computations; ``_COMMANDS``
+holds each one's handler and summary, ``lzsim <command> --help`` its keys.
 
 Every artifact embeds its fully resolved configuration, so a run can be
 reproduced exactly from the file it wrote.  Identical configurations give
@@ -19,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .config import ConfigError, RunConfig, read_config_file, resolve
+from .config import ConfigError, RunConfig, key_help, read_config_file, resolve
 from .errors import FitDegenerateError, NumericalFailure
 from .models import (
     CavityCoupling,
@@ -154,34 +149,14 @@ def _cmd_identity_sweep(cfg: RunConfig):
     return ("x", "n", "k", "error"), rows, {}
 
 
-# subcommand name -> (handler, help text); the parser and main both read it.
-# Every handler maps a RunConfig to (header, rows, extra metadata).
+# subcommand name -> (handler, one-line summary); the parser and main both
+# read it.  Every handler maps a RunConfig to (header, rows, extra metadata).
 _COMMANDS = {
-    "rabi-freq": (
-        _cmd_rabi_freq,
-        "Rabi frequency from both pictures over a photon-number grid "
-        "(keys: coupling, k, n [list or 'figure'], gap, shift)",
-    ),
-    "evolve": (
-        _cmd_evolve,
-        "time-domain population trace "
-        "(keys: picture, gap, bias, t-end, samples; semiclassical: amplitude, "
-        "phase, steps-per-period; quantum: coupling, initial, mean or m, "
-        "n-max, quadrature)",
-    ),
-    "fit-shift": (
-        _cmd_fit_shift,
-        "fit the photon-number offset per (coupling, k) cell "
-        "(keys: coupling, k, n, gap)",
-    ),
-    "bessel-approx": (
-        _cmd_bessel_approx,
-        "Bessel approximations and absolute errors on a (k, x) grid",
-    ),
-    "identity-sweep": (
-        _cmd_identity_sweep,
-        "Bessel/Laguerre correspondence error on an (x, n, k) grid",
-    ),
+    "rabi-freq": (_cmd_rabi_freq, "Rabi frequency from both pictures over a photon-number grid"),
+    "evolve": (_cmd_evolve, "time-domain population trace"),
+    "fit-shift": (_cmd_fit_shift, "fit the photon-number offset per (coupling, k) cell"),
+    "bessel-approx": (_cmd_bessel_approx, "Bessel approximations and their errors over (k, x)"),
+    "identity-sweep": (_cmd_identity_sweep, "Bessel/Laguerre identity error over (x, n, k)"),
 }
 
 
@@ -195,8 +170,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=text, description=text)
+    for name, (_, summary) in _COMMANDS.items():
+        cmd = sub.add_parser(
+            name, help=summary, description=f"{summary}\n\n{key_help(name)}",
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
         cmd.add_argument(
             "overrides", nargs="*", metavar="key=value",
             help="parameter overrides; take precedence over --config entries",
@@ -210,7 +188,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        raw = read_config_file(args.config) if args.config else {}
+        try:
+            raw = read_config_file(args.config) if args.config else {}
+        except OSError as exc:  # strerror, as str(exc) repeats the path
+            raise ConfigError([f"cannot read {args.config}: {exc.strerror}"]) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"cannot read {args.config}: {exc}"]) from exc
         for item in args.overrides:
             if "=" not in item:
                 raise ConfigError([f"override must be key=value, got {item!r}"])
@@ -240,7 +223,10 @@ def main(argv=None) -> int:
         metadata.update(extra)
         metadata["artifact-version"] = __version__
         metadata["wall-time-s"] = format(elapsed, ".3f")
-        write_table(OutputTable(header, rows, metadata), out_path, fmt)
+        try:
+            write_table(OutputTable(header, rows, metadata), out_path, fmt)
+        except OSError as exc:
+            raise ConfigError([f"cannot write {out_path or '-'}: {exc.strerror}"]) from exc
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"lzsim: config error: {problem}", file=sys.stderr)

@@ -136,148 +136,132 @@ def _format_value(value) -> str:
     return str(value)
 
 
-class _Resolver:
-    """Pulls typed values out of a raw string map, accumulating problems."""
+def _photon_numbers(text: str):
+    """rabi-freq's n: an integer list, or 'figure' for the standard grid."""
+    return "figure" if text.strip() == "figure" else parse_int_list(text)
 
-    def __init__(self, command: str, raw: dict):
-        self.command = command
-        self.raw = dict(raw)
-        self.problems: list[str] = []
-        self.values: dict = {}
 
-    def _fetch(self, key, parser, default, required, check=None, describe=""):
-        if key in self.raw:
-            text = self.raw.pop(key)
-            try:
-                value = parser(text)
-            except ValueError as exc:
-                self.problems.append(f"key '{key}': {exc}")
-                return
-        elif required:
-            self.problems.append(f"missing required key '{key}'")
-            return
+def _one_of(*branches):
+    """Range rule of a selector, whose value names the table walked at _BRANCH."""
+    return (lambda v: v in branches, "expected one of " + "/".join(branches))
+
+
+_REQUIRED = object()
+_BRANCH = object()  # the branch chosen by the selector named here is walked at this entry
+# range rules: (check on the value, or on each item of a list, problem text)
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0.0, "must be nonnegative")
+_ALL_POSITIVE = (_POSITIVE[0], "all must be positive")
+_ALL_NONNEGATIVE = (_NONNEGATIVE[0], "all must be nonnegative")
+
+# command, or command/branch -> key -> (parser, default or _REQUIRED, range
+# rule or None), in the order keys are checked and problems reported
+_KEYS = {
+    "rabi-freq": {
+        "coupling": (parse_float, _REQUIRED, _POSITIVE),
+        "k": (parse_int, _REQUIRED, _NONNEGATIVE),
+        "n": (_photon_numbers, _REQUIRED,
+              (lambda v: v == "figure" or v >= 0, "must be nonnegative")),
+        "gap": (parse_float, 0.01, _POSITIVE),
+        "shift": (parse_float, 0.0, None),
+    },
+    "evolve": {
+        "picture": (str, _REQUIRED, _one_of("semiclassical", "quantum")),
+        "gap": (parse_float, _REQUIRED, _NONNEGATIVE),
+        "bias": (parse_float, _REQUIRED, _NONNEGATIVE),
+        "t-end": (parse_float, _REQUIRED, _POSITIVE),
+        "samples": (parse_int, _REQUIRED, (lambda v: v >= 2, "must be >= 2")),
+        _BRANCH: "picture",
+    },
+    "evolve/semiclassical": {
+        "amplitude": (parse_float, _REQUIRED, _NONNEGATIVE),
+        "phase": (parse_float, 0.0, None),
+        "steps-per-period": (parse_int, STEPS_PER_PERIOD, (lambda v: v >= 16, "must be >= 16")),
+    },
+    "evolve/quantum": {
+        "coupling": (parse_float, _REQUIRED, _POSITIVE),
+        "initial": (str, _REQUIRED, _one_of("coherent", "fock")),
+        _BRANCH: "initial",
+        "n-max": (parse_int, None, (lambda v: v >= 1, "must be >= 1")),
+        "quadrature": (parse_bool, False, None),
+    },
+    "evolve/quantum/coherent": {"mean": (parse_float, _REQUIRED, _NONNEGATIVE)},
+    "evolve/quantum/fock": {"m": (parse_int, _REQUIRED, _NONNEGATIVE)},
+    "fit-shift": {
+        "coupling": (parse_float_list, _REQUIRED, _ALL_POSITIVE),
+        "k": (parse_int_list, _REQUIRED, _ALL_NONNEGATIVE),
+        "n": (parse_int_list, _REQUIRED, _ALL_NONNEGATIVE),
+        "gap": (parse_float, 0.01, _POSITIVE),
+    },
+    "bessel-approx": {
+        "k": (parse_int_list, _REQUIRED, _ALL_NONNEGATIVE),
+        "x": (parse_float_list, _REQUIRED, _ALL_POSITIVE),
+    },
+    "identity-sweep": {
+        "x": (parse_float_list, _REQUIRED, _ALL_POSITIVE),
+        "n": (parse_int_list, _REQUIRED, _ALL_NONNEGATIVE),
+        "k": (parse_int_list, _REQUIRED, _ALL_NONNEGATIVE),
+    },
+}
+
+
+def _walk(path: str, raw: dict, values: dict, problems: list) -> None:
+    """Move the keys of table `path`, and of the branches chosen, from raw into values."""
+    for key, spec in _KEYS[path].items():
+        if key is _BRANCH:
+            if spec in values:
+                _walk(f"{path}/{values[spec]}", raw, values, problems)
+            else:  # the selector itself was reported; don't misreport its dependents
+                for name in _KEYS:
+                    if name.startswith(path + "/"):
+                        for dependent in _KEYS[name]:
+                            raw.pop(dependent, None)
+            continue
+        parser, default, rule = spec
+        if key not in raw:
+            if default is _REQUIRED:
+                problems.append(f"missing required key '{key}'")
+            else:
+                values[key] = default
+            continue
+        try:
+            value = parser(raw.pop(key))
+        except ValueError as exc:
+            problems.append(f"key '{key}': {exc}")
+            continue
+        if rule and not all(map(rule[0], value if isinstance(value, list) else [value])):
+            problems.append(f"key '{key}': {rule[1]}, got {_format_value(value)}")
         else:
-            value = default
-        if value is not None and check is not None and not check(value):
-            self.problems.append(f"key '{key}': {describe}, got {_format_value(value)}")
-            return
-        self.values[key] = value
-
-    def floating(self, key, default=None, required=False, check=None, describe=""):
-        self._fetch(key, parse_float, default, required, check, describe)
-
-    def integer(self, key, default=None, required=False, check=None, describe=""):
-        self._fetch(key, parse_int, default, required, check, describe)
-
-    def boolean(self, key, default=False):
-        self._fetch(key, parse_bool, default, False)
-
-    def choice(self, key, options, default=None, required=False):
-        self._fetch(
-            key,
-            str,
-            default,
-            required,
-            check=lambda v: v in options,
-            describe="expected one of " + "/".join(options),
-        )
-
-    def _list(self, key, parse_list, required, default, check, describe):
-        self._fetch(
-            key,
-            parse_list,
-            default,
-            required,
-            check=lambda vs: check is None or all(check(v) for v in vs),
-            describe=describe,
-        )
-
-    def float_list(self, key, required=False, default=None, check=None, describe=""):
-        self._list(key, parse_float_list, required, default, check, describe)
-
-    def int_list(self, key, required=False, default=None, check=None, describe=""):
-        self._list(key, parse_int_list, required, default, check, describe)
-
-    def finish(self) -> RunConfig:
-        for key in sorted(self.raw):
-            self.problems.append(f"unknown key '{key}'")
-        if self.problems:
-            raise ConfigError([f"{self.command}: {p}" for p in self.problems])
-        return RunConfig(command=self.command, parameters=self.values)
-
-
-def _positive(v) -> bool:
-    return v > 0.0
-
-
-def _nonnegative(v) -> bool:
-    return v >= 0.0
+            values[key] = value
 
 
 def resolve(command: str, raw: dict) -> RunConfig:
-    """Validate a raw key->string map against the command's schema.
+    """Validate a raw key->string map against the command's tables in _KEYS.
 
     Raises ConfigError listing every missing, malformed, out-of-range, or
     unknown key.  Returns the typed parameter set on success.
     """
-    r = _Resolver(command, raw)
-    if command == "rabi-freq":
-        r.floating("coupling", required=True, check=_positive, describe="must be positive")
-        r.integer("k", required=True, check=_nonnegative, describe="must be nonnegative")
-        if r.raw.get("n", "").strip() == "figure":
-            r.raw.pop("n")
-            r.values["n"] = "figure"
-        else:
-            r.int_list("n", required=True, check=_nonnegative, describe="must be nonnegative")
-        r.floating("gap", default=0.01, check=_positive, describe="must be positive")
-        r.floating("shift", default=0.0)
-    elif command == "evolve":
-        r.choice("picture", ("semiclassical", "quantum"), required=True)
-        r.floating("gap", required=True, check=_nonnegative, describe="must be nonnegative")
-        r.floating("bias", required=True, check=_nonnegative, describe="must be nonnegative")
-        r.floating("t-end", required=True, check=_positive, describe="must be positive")
-        r.integer("samples", required=True, check=lambda v: v >= 2, describe="must be >= 2")
-        picture = r.values.get("picture")
-        if picture == "semiclassical":
-            r.floating("amplitude", required=True, check=_nonnegative, describe="must be nonnegative")
-            r.floating("phase", default=0.0)
-            r.integer(
-                "steps-per-period",
-                default=STEPS_PER_PERIOD,
-                check=lambda v: v >= 16,
-                describe="must be >= 16",
-            )
-        elif picture == "quantum":
-            r.floating("coupling", required=True, check=_positive, describe="must be positive")
-            r.choice("initial", ("coherent", "fock"), required=True)
-            initial = r.values.get("initial")
-            if initial == "coherent":
-                r.floating("mean", required=True, check=_nonnegative, describe="must be nonnegative")
-            elif initial == "fock":
-                r.integer("m", required=True, check=_nonnegative, describe="must be nonnegative")
-            else:
-                # initial itself was reported; don't misreport its dependents
-                r.raw.pop("mean", None)
-                r.raw.pop("m", None)
-            r.integer("n-max", default=None, check=lambda v: v >= 1, describe="must be >= 1")
-            r.boolean("quadrature", default=False)
-        else:
-            # picture itself was reported; don't misreport its dependents
-            for key in ("amplitude", "phase", "steps-per-period", "coupling",
-                        "initial", "mean", "m", "n-max", "quadrature"):
-                r.raw.pop(key, None)
-    elif command == "fit-shift":
-        r.float_list("coupling", required=True, check=_positive, describe="all must be positive")
-        r.int_list("k", required=True, check=_nonnegative, describe="all must be nonnegative")
-        r.int_list("n", required=True, check=_nonnegative, describe="all must be nonnegative")
-        r.floating("gap", default=0.01, check=_positive, describe="must be positive")
-    elif command == "bessel-approx":
-        r.int_list("k", required=True, check=_nonnegative, describe="all must be nonnegative")
-        r.float_list("x", required=True, check=_positive, describe="all must be positive")
-    elif command == "identity-sweep":
-        r.float_list("x", required=True, check=_positive, describe="all must be positive")
-        r.int_list("n", required=True, check=_nonnegative, describe="all must be nonnegative")
-        r.int_list("k", required=True, check=_nonnegative, describe="all must be nonnegative")
-    else:
+    if command not in _KEYS or "/" in command:
         raise ConfigError([f"unknown command '{command}'"])
-    return r.finish()
+    raw = dict(raw)
+    values: dict = {}
+    problems: list[str] = []
+    _walk(command, raw, values, problems)
+    problems += [f"unknown key '{key}'" for key in sorted(raw)]
+    if problems:
+        raise ConfigError([f"{command}: {p}" for p in problems])
+    return RunConfig(command=command, parameters=values)
+
+
+def key_help(command: str) -> str:
+    """The keys of `command`, one line per table, for its --help text."""
+    lines = []
+    for path, table in _KEYS.items():
+        parent, _, branch = path.rpartition("/")
+        if path.partition("/")[0] == command:
+            items = [key if spec[1] is _REQUIRED else f"[{key}]" if spec[1] is None
+                     else f"[{key}={_format_value(spec[1])}]"
+                     for key, spec in table.items() if key is not _BRANCH]
+            label = f"  {_KEYS[parent][_BRANCH]}={branch}" if parent else "keys"
+            lines.append(f"{label}: {', '.join(items)}")
+    return "\n".join(lines)

@@ -529,3 +529,78 @@ def test_version_flag(capsys):
     from lzsim import __version__
 
     assert __version__ in capsys.readouterr().out
+
+
+def test_resolve_invalid_initial_drops_its_dependents():
+    raw = {
+        "gap": "0.4", "bias": "2", "t-end": "10", "samples": "11",
+        "picture": "quantum", "coupling": "0.25", "initial": "bogus",
+        "mean": "100", "m": "3",
+    }
+    with pytest.raises(ConfigError) as err:
+        resolve("evolve", raw)
+    assert err.value.problems == [
+        "evolve: key 'initial': expected one of coherent/fock, got bogus"
+    ]
+
+
+# every key resolve accepts, by command
+ACCEPTED_KEYS = {
+    "rabi-freq": {"coupling", "k", "n", "gap", "shift"},
+    "evolve": {
+        "picture", "gap", "bias", "t-end", "samples", "amplitude", "phase",
+        "steps-per-period", "coupling", "initial", "mean", "m", "n-max", "quadrature",
+    },
+    "fit-shift": {"coupling", "k", "n", "gap"},
+    "bessel-approx": {"k", "x"},
+    "identity-sweep": {"x", "n", "k"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_KEYS))
+def test_help_lists_every_key(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    # the key lines run from "keys:" to the next blank line
+    block = text[text.index("\nkeys: ") + 1:].split("\n\n")[0]
+    listed = set()
+    for line in block.splitlines():
+        for item in line.partition(": ")[2].split(", "):
+            listed.add(item.strip("[]").partition("=")[0])
+    assert listed == ACCEPTED_KEYS[command]
+
+
+def _one_config_error(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("lzsim: config error: ")
+    return err
+
+
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "absent.cfg"
+    err = _one_config_error(capsys, "rabi-freq", "--config", str(path))
+    assert err == f"lzsim: config error: cannot read {path}: No such file or directory\n"
+
+
+def test_config_path_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    err = _one_config_error(capsys, "rabi-freq", "--config", str(tmp_path))
+    assert err == f"lzsim: config error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"coupling = 0.1\nk = 0 # \xe9\nn = 0\n")
+    err = _one_config_error(capsys, "rabi-freq", "--config", str(path))
+    assert err.startswith(f"lzsim: config error: cannot read {path}: 'utf-8' codec")
+
+
+def test_unwritable_out_path_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "x.csv"
+    err = _one_config_error(
+        capsys, "rabi-freq", "coupling=0.1", "k=0", "n=0", "--out", str(path)
+    )
+    assert err == f"lzsim: config error: cannot write {path}: No such file or directory\n"
+    assert not path.parent.exists()
