@@ -37,6 +37,8 @@ CASES = {
     "fit-shift": ("fit-shift", "coupling=0.5,1.0", "k=1,2", "n=100:1000:100", "gap=0.01"),
     "bessel-approx": ("bessel-approx", "k=0,2,5", "x=1:30:1"),
     "identity-sweep": ("identity-sweep", "x=0.01,0.1", "n=0:200:10", "k=0:3:1"),
+    # rows follow the requested order, repeats included
+    "identity-sweep-unordered": ("identity-sweep", "x=0.05,0.05", "n=7,3,7", "k=2,0,2"),
 }
 
 
