@@ -35,7 +35,7 @@ from .specfun import (
     bessel_j_asymptotic,
 )
 from .spectra import (
-    bessel_laguerre_identity_error,
+    bessel_laguerre_identity_error_grid,
     comparison_grid,
     figure_photon_grid,
     fit_amplitude_shift,
@@ -142,9 +142,12 @@ def _cmd_bessel_approx(cfg: RunConfig):
 
 def _cmd_identity_sweep(cfg: RunConfig):
     p = cfg.parameters
+    errors = bessel_laguerre_identity_error_grid(p["x"], p["n"], p["k"])
     rows = [
-        (x, float(n), float(k), bessel_laguerre_identity_error(x, n, k))
-        for x in p["x"] for n in p["n"] for k in p["k"]
+        (x, float(n), float(k), error)
+        for x, plane in zip(p["x"], errors)
+        for n, line in zip(p["n"], plane)
+        for k, error in zip(p["k"], line)
     ]
     return ("x", "n", "k", "error"), rows, {}
 

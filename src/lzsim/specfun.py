@@ -3,9 +3,12 @@
 Integer-order Bessel functions of the first kind, associated Laguerre
 polynomials with overflow-safe scaling, log-space factorial ratios, and the
 overlap between a Fock state and a displaced Fock state.  All routines are
-scalar, pure, and keep relative accuracy far below the 1e-10 level required
-by the downstream frequency comparisons, except in the immediate
-neighbourhood of a zero of the function where accuracy is absolute.
+pure and keep relative accuracy far below the 1e-10 level required by the
+downstream frequency comparisons, except in the immediate neighbourhood of a
+zero of the function where accuracy is absolute.  The public routines are
+scalar, apart from `displaced_fock_overlap_grid`, which reads every requested
+photon number off one Laguerre recurrence and returns, bit for bit, what the
+scalar overlap returns cell by cell.
 
 Closed-form large-argument approximations of J_k (stationary-phase form and
 two adiabatic-impulse variants) live here as well; they are the analytic
@@ -15,6 +18,7 @@ side of the strong-driving frequency analysis.
 from __future__ import annotations
 
 import math
+from typing import Iterable, Sequence
 
 from .errors import require_int, require_real
 
@@ -156,18 +160,35 @@ def assoc_laguerre_scaled(n: int, k: int, x: float) -> tuple[float, float]:
     n = require_int("n", n, 0, MAX_OVERLAP_INDEX)
     k = require_int("k", k)
     x = require_real("x", x, 0.0)
-    if n == 0:
-        return 1.0, 0.0
+    return _laguerre_scaled_pass((n,), k, x)[0]
+
+
+def _laguerre_scaled_pass(degrees: Sequence[int], k: int, x: float) -> list[tuple[float, float]]:
+    """assoc_laguerre_scaled(n, k, x) for every n in degrees, from one recurrence.
+
+    Degrees may come in any order and repeat; the recurrence runs once, up to
+    the largest, and each (mantissa, log_scale) is recorded on reaching its
+    degree, so every value is the one a pass up to that degree alone returns.
+    Arguments are trusted: callers check them first.
+    """
+    values = {}
     prev = 1.0               # L_0^k
     cur = 1.0 + k - x        # L_1^k
     log_scale = 0.0
-    for m in range(1, n):
-        prev, cur = cur, ((2 * m + k + 1 - x) * cur - (m + k) * prev) / (m + 1)
-        if abs(cur) > _RESCALE or abs(prev) > _RESCALE:
-            prev /= _RESCALE
-            cur /= _RESCALE
-            log_scale += _LOG_RESCALE
-    return cur, log_scale
+    reached = 1
+    for n in sorted(set(degrees)):
+        if n == 0:
+            values[0] = (1.0, 0.0)
+            continue
+        for m in range(reached, n):
+            prev, cur = cur, ((2 * m + k + 1 - x) * cur - (m + k) * prev) / (m + 1)
+            if abs(cur) > _RESCALE or abs(prev) > _RESCALE:
+                prev /= _RESCALE
+                cur /= _RESCALE
+                log_scale += _LOG_RESCALE
+        reached = n
+        values[n] = (cur, log_scale)
+    return [values[n] for n in degrees]
 
 
 def assoc_laguerre(n: int, k: int, x: float) -> float:
@@ -189,6 +210,12 @@ def log_factorial_ratio(n: int, k: int) -> float:
     return 0.5 * (math.lgamma(n + 1) - math.lgamma(n + k + 1))
 
 
+def require_overlap_index(n: int, k: int) -> None:
+    """Raise ValueError when n + k is above MAX_OVERLAP_INDEX."""
+    if n + k > MAX_OVERLAP_INDEX:
+        raise ValueError(f"n+k={n + k} above supported range {MAX_OVERLAP_INDEX}")
+
+
 def displaced_fock_overlap(n: int, k: int, d: float) -> float:
     """Overlap <n+k| exp(d (adag - a)) |n> for real displacement d >= 0.
 
@@ -199,11 +226,36 @@ def displaced_fock_overlap(n: int, k: int, d: float) -> float:
     n = require_int("n", n)
     k = require_int("k", k)
     d = require_real("d", d, 0.0)
-    if n + k > MAX_OVERLAP_INDEX:
-        raise ValueError(f"n+k={n + k} above supported range {MAX_OVERLAP_INDEX}")
+    require_overlap_index(n, k)
     if d == 0.0:
         return 1.0 if k == 0 else 0.0
     mantissa, log_scale = assoc_laguerre_scaled(n, k, d * d)
+    return _overlap_from_laguerre(n, k, d, mantissa, log_scale)
+
+
+def displaced_fock_overlap_grid(ns: Iterable[int], k: int, d: float) -> list[float]:
+    """displaced_fock_overlap(n, k, d) for every n in ns, in the order given.
+
+    One Laguerre recurrence up to max(ns) serves every photon number, so a
+    grid costs O(max(ns)) recurrence steps instead of O(sum(ns)).  Every n,
+    k and d is checked, n + k against MAX_OVERLAP_INDEX included, before any
+    step runs.
+    """
+    ns = [require_int("n", n) for n in ns]
+    k = require_int("k", k)
+    d = require_real("d", d, 0.0)
+    require_overlap_index(max(ns, default=0), k)
+    if d == 0.0:
+        return [1.0 if k == 0 else 0.0] * len(ns)
+    laguerre = _laguerre_scaled_pass(ns, k, d * d)
+    return [
+        _overlap_from_laguerre(n, k, d, mantissa, log_scale)
+        for n, (mantissa, log_scale) in zip(ns, laguerre)
+    ]
+
+
+def _overlap_from_laguerre(n: int, k: int, d: float, mantissa: float, log_scale: float) -> float:
+    """The overlap at d > 0 from the scaled L_n^k(d^2), its prefactor in log space."""
     if mantissa == 0.0:
         return 0.0
     log_mag = (

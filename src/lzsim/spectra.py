@@ -33,7 +33,12 @@ from .models import (
     rabi_hamiltonian,
     require_dense_memory,
 )
-from .specfun import bessel_j, displaced_fock_overlap
+from .specfun import (
+    bessel_j,
+    displaced_fock_overlap,
+    displaced_fock_overlap_grid,
+    require_overlap_index,
+)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -131,8 +136,10 @@ def comparison_grid(
 ) -> list[ComparisonRow]:
     """Both frequency routes over a photon-number grid, ascending in n.
 
-    Runs on the k-photon resonance (bias = k enforced).  Rows are
-    independent, so evaluation order is irrelevant.
+    Runs on the k-photon resonance (bias = k enforced).  Each row holds what
+    rabi_freq_semiclassical and rabi_freq_quantum return for its n, bit for
+    bit; the quantum column comes from one Laguerre pass over the whole grid,
+    whose checks run before any Bessel evaluation.
     """
     k = require_int("k", k)
     coupling = require_real("coupling", coupling, 0.0)
@@ -140,14 +147,15 @@ def comparison_grid(
     if abs(qubit.bias - k) > 1e-9:
         raise ValueError(f"resonance requires bias = k, got bias={qubit.bias}, k={k}")
     ns = _photon_grid(n_values)
+    overlaps = displaced_fock_overlap_grid(ns, k, 2.0 * coupling)
     rows = []
-    for n in ns:
+    for n, overlap in zip(ns, overlaps):
         a_eff = equivalent_amplitude(coupling, n, shift)
         rows.append(
             ComparisonRow(
                 n=n,
                 omega_s=rabi_freq_semiclassical(qubit, a_eff, k),
-                omega_q=rabi_freq_quantum(qubit, coupling, n, k),
+                omega_q=qubit.gap * overlap,
                 a_eff=a_eff,
             )
         )
@@ -207,7 +215,8 @@ def fit_amplitude_shift(
     coupling = require_real("coupling", coupling, 0.0, above=True)
     ns = _photon_grid(n_values)
 
-    targets = [rabi_freq_quantum(qubit, coupling, n, k) for n in ns]
+    # rabi_freq_quantum at each n, from one Laguerre pass
+    targets = [qubit.gap * v for v in displaced_fock_overlap_grid(ns, k, 2.0 * coupling)]
 
     def objective(s: float) -> float:
         total = 0.0
@@ -268,8 +277,38 @@ def bessel_laguerre_identity_error(x: float, n: int, k: int) -> float:
     n = require_int("n", n)
     # the overlap first: its index bound refuses before the O(x) Bessel pass
     rhs = displaced_fock_overlap(n, k, 2.0 * x)
+    return _identity_error(x, n, k, rhs)
+
+
+def bessel_laguerre_identity_error_grid(
+    xs: Iterable[float], ns: Iterable[int], ks: Iterable[int]
+) -> list[list[list[float]]]:
+    """bessel_laguerre_identity_error at every (x, n, k) of a product grid.
+
+    errors[i][j][l] is the error at (xs[i], ns[j], ks[l]); values may come in
+    any order and repeat.  One Laguerre pass per distinct (x, k) serves every
+    n, and each error equals the scalar function's bit for bit.  Every x, n
+    and k, and the largest n + k against MAX_OVERLAP_INDEX, is checked before
+    any recurrence or Bessel call.
+    """
+    xs = [require_real("x", x, 0.0) for x in xs]
+    ns = [require_int("n", n) for n in ns]
+    ks = [require_int("k", k) for k in ks]
+    require_overlap_index(max(ns, default=0), max(ks, default=0))
+    errors = []
+    for x in xs:
+        columns = {}
+        for k in dict.fromkeys(ks):
+            rhs = displaced_fock_overlap_grid(ns, k, 2.0 * x)
+            columns[k] = [_identity_error(x, n, k, r) for n, r in zip(ns, rhs)]
+        errors.append([[columns[k][j] for k in ks] for j in range(len(ns))])
+    return errors
+
+
+def _identity_error(x: float, n: int, k: int, overlap: float) -> float:
+    """Relative identity gap at (x, n, k), given the displaced overlap there."""
     lhs = bessel_j(k, 4.0 * x * math.sqrt(n))
-    return abs(lhs - rhs) / max(abs(lhs), 1e-3)
+    return abs(lhs - overlap) / max(abs(lhs), 1e-3)
 
 
 def figure_photon_grid() -> list[int]:

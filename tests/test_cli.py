@@ -405,6 +405,19 @@ def test_runaway_range(capsys):
     assert "key 'n': range '0:1e12:1' has more than 1000001 values" in err
 
 
+def test_identity_sweep_refuses_its_last_column_before_any_work(capsys, monkeypatch):
+    # k = 0 is in range up to n = 10**6, k = 1 is not: the whole grid is
+    # checked before the first Laguerre pass or Bessel call
+    def no_work(*args):
+        raise AssertionError(f"work started before the index check: {args[:2]}")
+
+    monkeypatch.setattr("lzsim.specfun._laguerre_scaled_pass", no_work)
+    monkeypatch.setattr("lzsim.spectra.bessel_j", no_work)
+    code, out, err = run_cli(capsys, "identity-sweep", "x=0.1", "n=0:1000000:1", "k=0:1:1")
+    assert code == 2 and out == ""
+    assert "n+k=1000001 above supported range 1000000" in err
+
+
 def test_config_file_with_unknown_format(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("coupling = 0.1\nk = 0\nn = 0\nformat = xml\n")

@@ -52,7 +52,13 @@ from lzsim import (
     semiclassical_hamiltonian,
 )
 from lzsim.models import require_dense_memory
-from lzsim.specfun import MAX_BESSEL_ORDER, MAX_OVERLAP_INDEX, log_factorial_ratio
+from lzsim.specfun import (
+    MAX_BESSEL_ORDER,
+    MAX_OVERLAP_INDEX,
+    displaced_fock_overlap_grid,
+    log_factorial_ratio,
+)
+from lzsim.spectra import bessel_laguerre_identity_error_grid
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 REAL, INT = "real", "int"
@@ -99,6 +105,8 @@ TABLE = [
     *rows(log_factorial_ratio, dict(n=3, k=1), ("n", INT, (-1,)), ("k", INT, (-1,))),
     *rows(displaced_fock_overlap, dict(n=3, k=1, d=0.5),
           ("n", INT, (-1,)), ("k", INT, (-1,)), ("d", REAL, (-0.5,))),
+    *rows(displaced_fock_overlap_grid, dict(ns=[3, 5], k=1, d=0.5),
+          ("ns", INT, (-1,), "n", lambda v: [3, v]), ("k", INT, (-1,)), ("d", REAL, (-0.5,))),
     # models
     *rows(QubitSpec, dict(gap=0.1, bias=0.0), ("gap", REAL, (-0.1,)), ("bias", REAL, (-0.1,))),
     *rows(SemiclassicalDrive, dict(amplitude=1.0, phase=0.0),
@@ -146,6 +154,10 @@ TABLE = [
           ("coupling", REAL, (-0.1,)), ("k", INT, (-1,))),
     *rows(bessel_laguerre_identity_error, dict(x=0.1, n=10, k=2),
           ("x", REAL, (-0.1,)), ("n", INT, (-1,)), ("k", INT, (-1,))),
+    *rows(bessel_laguerre_identity_error_grid, dict(xs=[0.1], ns=[10], ks=[2]),
+          ("xs", REAL, (-0.1,), "x", lambda v: [0.1, v]),
+          ("ns", INT, (-1,), "n", lambda v: [10, v]),
+          ("ks", INT, (-1,), "k", lambda v: [2, v])),
     # dynamics
     *rows(TimeGrid, dict(t0=0.0, t1=1.0, samples=5),
           ("t0", REAL), ("t1", REAL, (0.0, -1.0)), ("samples", INT, (1,))),
