@@ -9,7 +9,13 @@ fourth-order exponential scheme: each step applies two matrix exponentials
 built from the Hamiltonian at the two Gauss-Legendre nodes.  Every factor
 is exactly unitary, so norm is conserved to rounding accuracy on runs of
 any length; norm drift therefore signals a genuine failure and is never
-repaired by renormalization.
+repaired by renormalization.  Because the drive is periodic, only one
+period of steps is built: their prefix products end in the one-period
+(Floquet) operator F, and the propagator to any time is a partial step
+times a prefix times a closed-form power of F.  A trace therefore costs
+O(steps per period + samples), whatever the simulated time.  F is checked
+for unitarity like any sample, and its powers use only its unitary part,
+so the rounding of one period is not compounded over many.
 
 The quantized model has no time dependence, so it is diagonalized once and
 states evolve by exact phase rotation in the eigenbasis.
@@ -36,6 +42,7 @@ from .models import (
     QubitSpec,
     QubitState,
     SemiclassicalDrive,
+    _require_memory,
     rabi_hamiltonian,
     require_dense_memory,
 )
@@ -54,7 +61,6 @@ _NODE_2 = 0.5 + math.sqrt(3.0) / 6.0
 _WEIGHT_A = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _WEIGHT_B = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 
-_SUBSTEP_CHUNK = 1 << 16
 _SAMPLE_CHUNK = 512
 
 
@@ -166,6 +172,53 @@ def _cf4_step_matrices(qubit, drive, t_start, h, count):
     return m00, m01, m10, m11
 
 
+# bytes held per step of the period while it is built and scanned: the
+# step formula's float and complex temporaries plus the (n, 2, 2) prefixes
+# (a peak of about 220 under tracemalloc)
+_BYTES_PER_STEP = 256
+
+
+def _period_prefixes(qubit, drive, t0, h, steps):
+    """Prefix products of one period of steps starting at t0, shape (steps+1, 2, 2).
+
+    Entry j is M_{j-1} ... M_0, the first j steps; entry 0 is the identity
+    and the last is the one-period operator F.  The Hillis-Steele scan takes
+    ceil(log2(steps)) vectorised rounds: after the round with stride d,
+    entry j covers steps max(0, j - 2d + 1) .. j.
+    """
+    scan = np.stack(_cf4_step_matrices(qubit, drive, t0, h, steps), axis=-1)
+    scan = scan.reshape(steps, 2, 2)
+    stride = 1
+    while stride < steps:
+        scan[stride:] = scan[stride:] @ scan[:-stride]
+        stride *= 2
+    return np.concatenate((np.eye(2, dtype=complex)[None], scan))
+
+
+def _floquet_power_on(f, psi, m):
+    """F^m psi, shape (m.size, 2), for a float array of period counts m.
+
+    G = F / sqrt(det F) is in SU(2) up to rounding, with rotation angle
+    theta, and G^m = cos(m theta) I + sin(m theta)/sin(theta) (G - cos(theta) I);
+    the ratio is written with sinc so that theta = 0 (G = I) needs no
+    separate branch.  Only the unit phase of sqrt(det F) and G's first row
+    (a, b), read as the SU(2) matrix [[a, b], [-b*, a*]], enter, so F's
+    rounding-level departure from unitarity, which the caller has checked,
+    is not compounded m times.
+    """
+    phase = np.sqrt(f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0])
+    a, b = f[0] / phase
+    theta = math.atan2(math.hypot(a.imag, abs(b)), a.real)
+    ratio = m * np.sinc(m * theta / math.pi) / np.sinc(theta / math.pi)
+    # (G - cos(theta) I) psi
+    k_psi = np.array([
+        1j * a.imag * psi[0] + b * psi[1],
+        -b.conjugate() * psi[0] - 1j * a.imag * psi[1],
+    ])
+    out = np.cos(m * theta)[:, None] * psi + ratio[:, None] * k_psi
+    return np.exp(1j * np.angle(phase) * m)[:, None] * out
+
+
 def propagate_semiclassical(
     qubit: QubitSpec,
     drive: SemiclassicalDrive,
@@ -176,43 +229,63 @@ def propagate_semiclassical(
 ) -> PopulationTrace:
     """Integrate the driven two-level Schrodinger equation.
 
-    Fixed-step fourth-order integration with step 2*pi/steps_per_period
-    (default 4096); each grid interval is subdivided evenly so sample
-    times are hit exactly.  The override exists for convergence studies
-    such as step-halving checks.  Raises NormDriftError if the state norm
-    drifts from 1 by more than 1e-9 at any sample (the scheme is unitary,
-    so this indicates a genuine numerical failure rather than expected
-    integrator error).
+    Fourth-order steps of width h = 2*pi/steps_per_period (default 4096)
+    tile time from grid.t0 on, so step boundaries lie on the lattice
+    t0 + j*h whatever the sample times; the override exists for
+    convergence studies such as step-halving checks.  Only the first
+    period's steps are built (the drive repeats every 2*pi).  Their prefix
+    products P_j, the first j steps, come from a scan in log2(steps_per_period)
+    vectorised rounds, and the last one is the one-period operator F.  A
+    sample at t = t0 + m*2*pi + j*h + r with 0 <= r < h is
+    S_r P_j F^m psi0, where S_r is one partial step of width r from
+    t0 + j*h and F^m comes in closed form from F's SU(2) form; no step is
+    wider than h.  The cost is O(steps_per_period + samples), independent
+    of the simulated time.  Raises NormDriftError if the state norm drifts
+    from 1 by more than 1e-9 at any sample, or F from unitarity by as much
+    (the scheme is unitary, so this indicates a genuine numerical failure
+    rather than expected integrator error), and ResourceLimitError, before
+    building any step, when one period of steps would not fit in physical
+    memory.
     """
     steps_per_period = require_int("steps_per_period", steps_per_period, 1)
-    base = 2.0 * math.pi / steps_per_period
+    _require_memory(
+        _BYTES_PER_STEP * steps_per_period, f"one period of {steps_per_period} steps"
+    )
+    period = 2.0 * math.pi
+    h = period / steps_per_period
+    t0 = grid.t0
+    prefixes = _period_prefixes(qubit, drive, t0, h, steps_per_period)
+    floquet = prefixes[-1]
+    drift = float(np.max(np.abs(floquet.conj().T @ floquet - np.eye(2))))
+    if drift > _NORM_TOL:
+        raise NormDriftError(
+            f"one-period propagator from t = {t0:.6g} departs from unitarity by "
+            f"{drift:.3e} (limit {_NORM_TOL:g})"
+        )
     times = grid.times()
     p = np.empty(times.size)
-    u0 = complex(psi0.amplitudes[0])
-    u1 = complex(psi0.amplitudes[1])
-    p[0] = abs(u1) ** 2
 
-    for i in range(times.size - 1):
-        dt = times[i + 1] - times[i]
-        nsub = max(1, math.ceil(dt / base - 1e-12))
-        h = dt / nsub
-        done = 0
-        while done < nsub:
-            count = min(nsub - done, _SUBSTEP_CHUNK)
-            m00, m01, m10, m11 = _cf4_step_matrices(
-                qubit, drive, times[i] + done * h, h, count
-            )
-            for a00, a01, a10, a11 in zip(
-                m00.tolist(), m01.tolist(), m10.tolist(), m11.tolist()
-            ):
-                u0, u1 = a00 * u0 + a01 * u1, a10 * u0 + a11 * u1
-            done += count
-        norm = abs(u0) ** 2 + abs(u1) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise NormDriftError(
-                f"norm drifted to {norm:.12f} at t = {times[i + 1]:.6g}"
-            )
-        p[i + 1] = abs(u1) ** 2
+    for lo in range(0, times.size, _SAMPLE_CHUNK):
+        t = times[lo : lo + _SAMPLE_CHUNK]
+        # fmod is exact, so tau is the exact remainder in [0, period)
+        m, tau = np.divmod(t - t0, period)
+        # j reaches steps_per_period when tau is within rounding of a whole
+        # period; prefix steps_per_period is F and r is then a rounding-size
+        # step back
+        j = np.floor(tau / h).astype(np.intp)
+        r = tau - j * h
+        psi = _floquet_power_on(floquet, psi0.amplitudes, m)
+        psi = (prefixes[j] @ psi[:, :, None])[:, :, 0]
+        s00, s01, s10, s11 = _cf4_step_matrices(qubit, drive, t0 + j * h, r, 1)
+        u0 = s00 * psi[:, 0] + s01 * psi[:, 1]
+        u1 = s10 * psi[:, 0] + s11 * psi[:, 1]
+        p_down = u1.real ** 2 + u1.imag ** 2
+        norm = u0.real ** 2 + u0.imag ** 2 + p_down
+        bad = np.flatnonzero(np.abs(norm - 1.0) > _NORM_TOL)
+        if bad.size:
+            i = bad[0]
+            raise NormDriftError(f"norm drifted to {norm[i]:.12f} at t = {t[i]:.6g}")
+        p[lo : lo + t.size] = p_down
 
     return PopulationTrace(times, np.clip(p, 0.0, 1.0))
 

@@ -1,22 +1,27 @@
 """Input checks and the failure types raised by the numerical layers.
 
 Bad input raises ValueError.  Public functions check each scalar argument
-through `require_real` (finite, in range) or `require_int` (whatever
-`operator.index` accepts, never a bool) and work on the value returned; the
-message reads "<name> must be ..., got <name>=<value>".  A computation that
-cannot meet its accuracy or resource contract on valid input raises a
-NumericalFailure, so callers, the CLI in particular, map each family to one
-failure path (exit codes 2 and 3).
+through `require_real` (finite, in range, never a bool) or `require_int`
+(whatever `operator.index` accepts, never a bool) and work on the value
+returned; the message reads "<name> must be ..., got <name>=<value>".  A
+computation that cannot meet its accuracy or resource contract on valid
+input raises a NumericalFailure, so callers, the CLI in particular, map each
+family to one failure path (exit codes 2 and 3).
 """
 
 import math
 import operator
 
+import numpy as np
+
 
 def require_real(name, value, low=-math.inf, high=math.inf, *, above=False) -> float:
-    """Return value as a float if it is finite and in [low, high], or in
-    (low, high] with above=True; otherwise raise ValueError naming it."""
+    """Return value as a float if it is a number, not a bool, finite and in
+    [low, high], or in (low, high] with above=True; otherwise raise
+    ValueError naming it."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a real number, got {name}={value!r}") from None

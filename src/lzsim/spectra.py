@@ -75,7 +75,9 @@ def rabi_freq_quantum(qubit: QubitSpec, coupling: float, n: int, k: int) -> floa
 def equivalent_amplitude(coupling: float, n: float, shift: float = 0.0) -> float:
     """Effective classical amplitude 4 c sqrt(n + shift); all finite, c and n + shift >= 0."""
     coupling = require_real("coupling", coupling, 0.0)
-    radicand = require_real("n + shift", n + shift, 0.0)  # finite only if n and shift are
+    n = require_real("n", n)
+    shift = require_real("shift", shift)
+    radicand = require_real("n + shift", n + shift, 0.0)
     return 4.0 * coupling * math.sqrt(radicand)
 
 

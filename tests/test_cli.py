@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -280,6 +281,24 @@ def test_evolve_semiclassical_to_file(tmp_path, capsys):
         assert float(p_text) == pytest.approx(
             math.cos(0.15 * float(t_text)) ** 2, abs=1e-9
         )
+
+
+def test_evolve_semiclassical_long_horizon(capsys):
+    # 1e7 time units would be about 6.5e9 steps taken one after another;
+    # whole periods come from powers of the one-period operator instead
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "evolve", "picture=semiclassical", "gap=0.4", "bias=2",
+        "amplitude=10", "t-end=1e7", "samples=3",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert elapsed < 1.0
+    _, header, rows = parse_csv(out)
+    assert header == ["t", "p_down"] and len(rows) == 3
+    assert float(rows[-1][0]) == 1e7
+    for _, p_text in rows:
+        assert 0.0 <= float(p_text) <= 1.0
 
 
 def test_evolve_quantum_json_with_quadrature(capsys):

@@ -11,10 +11,12 @@ from lzsim import (
     FitDegenerateError,
     JointState,
     NoPeakError,
+    NormDriftError,
     PopulationTrace,
     QuadratureTrace,
     QubitSpec,
     QubitState,
+    ResourceLimitError,
     SemiclassicalDrive,
     SpectralEvolution,
     TimeGrid,
@@ -162,17 +164,180 @@ def test_step_halving_convergence():
     assert np.max(np.abs(runs[4096] - runs[8192])) < 1e-6
 
 
-def test_long_interval_spans_several_step_chunks(monkeypatch):
-    # one interval of 20 periods is 81,920 substeps at the default step,
-    # more than one chunk of step matrices; the split must not show
+def _stepper_reference(qubit, drive, psi0, grid, steps_per_period):
+    """The per-substep stepper that Floquet composition replaced.
+
+    Each grid interval is cut into ceil(dt / base) equal steps, so step
+    boundaries restart at every sample; on grids whose sample spacing is a
+    whole number of steps they are the lattice t0 + j * base.
+    """
+    base = 2.0 * math.pi / steps_per_period
+    times = grid.times()
+    p = np.empty(times.size)
+    u0, u1 = (complex(a) for a in psi0.amplitudes)
+    p[0] = abs(u1) ** 2
+    for i in range(times.size - 1):
+        dt = times[i + 1] - times[i]
+        nsub = max(1, math.ceil(dt / base - 1e-12))
+        m00, m01, m10, m11 = _cf4_step_matrices(qubit, drive, times[i], dt / nsub, nsub)
+        for a00, a01, a10, a11 in zip(m00.tolist(), m01.tolist(), m10.tolist(), m11.tolist()):
+            u0, u1 = a00 * u0 + a01 * u1, a10 * u0 + a11 * u1
+        p[i + 1] = abs(u1) ** 2
+    return np.clip(p, 0.0, 1.0)
+
+
+def _floquet_and_stepper(qubit, drive, grid, steps_per_period, psi0=None):
+    psi0 = QubitState.down() if psi0 is None else psi0
+    floquet = propagate_semiclassical(
+        qubit, drive, psi0, grid, steps_per_period=steps_per_period
+    ).p_down
+    return floquet, _stepper_reference(qubit, drive, psi0, grid, steps_per_period)
+
+
+def test_long_interval_matches_the_stepper():
+    # one interval of 20 periods: 81,920 steps of the stepper, against
+    # 20 powers of the one-period operator
     qubit = QubitSpec(0.4, 2.0)
     drive = SemiclassicalDrive(10.0, 0.0)
-    grid = TimeGrid(0.0, 20.0 * 2.0 * math.pi, 2)
-    assert 20 * 4096 > dynamics._SUBSTEP_CHUNK
-    chunked = propagate_semiclassical(qubit, drive, QubitState.down(), grid).p_down
-    monkeypatch.setattr(dynamics, "_SUBSTEP_CHUNK", 1 << 20)
-    whole = propagate_semiclassical(qubit, drive, QubitState.down(), grid).p_down
-    assert np.max(np.abs(chunked - whole)) < 1e-12
+    floquet, stepper = _floquet_and_stepper(
+        qubit, drive, TimeGrid(0.0, 20.0 * 2.0 * math.pi, 2), 4096
+    )
+    assert np.max(np.abs(floquet - stepper)) <= 1e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    gap=st.floats(min_value=0.0, max_value=5.0),
+    bias=st.floats(min_value=0.0, max_value=5.0),
+    amplitude=st.floats(min_value=0.0, max_value=20.0),
+    phase=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_floquet_matches_the_stepper_on_step_aligned_grids(gap, bias, amplitude, phase):
+    # 5 periods at 16 samples per period: every sample spacing is 4 of 64 steps
+    floquet, stepper = _floquet_and_stepper(
+        QubitSpec(gap, bias), SemiclassicalDrive(amplitude, phase),
+        TimeGrid(0.0, 5.0 * 2.0 * math.pi, 81), 64,
+    )
+    assert np.max(np.abs(floquet - stepper)) <= 1e-11
+
+
+@pytest.mark.parametrize("steps", [24, 64])
+@pytest.mark.parametrize("periods", [1, 3])
+@pytest.mark.parametrize("side", [-math.inf, 0, math.inf])
+def test_samples_on_and_beside_period_multiples(steps, periods, side):
+    # exact multiples give m whole periods and j = 0; one ulp below gives
+    # m - 1 periods and the last step, and at 24 steps per period tau / h
+    # rounds up to j = 24 there (see the next test)
+    end = periods * 2.0 * math.pi
+    if side:
+        end = float(np.nextafter(end, side))
+    floquet, stepper = _floquet_and_stepper(
+        QubitSpec(0.4, 2.0), SemiclassicalDrive(10.0, 0.3), TimeGrid(0.0, end, 2), steps
+    )
+    assert np.max(np.abs(floquet - stepper)) <= 1e-11
+
+
+def test_step_index_reaches_a_whole_period():
+    # the propagator's own split of the sample one ulp below 2 pi
+    h = 2.0 * math.pi / 24
+    _, tau = np.divmod(np.nextafter(2.0 * math.pi, 0.0), 2.0 * math.pi)
+    assert np.floor(tau / h) == 24
+
+
+def test_offset_start_with_phase_matches_the_stepper():
+    # 641 samples also cross the boundary between two sample chunks
+    floquet, stepper = _floquet_and_stepper(
+        QubitSpec(0.7, 1.3), SemiclassicalDrive(6.0, 0.9),
+        TimeGrid(1.25, 1.25 + 40.0 * 2.0 * math.pi, 641), 64,
+    )
+    assert np.max(np.abs(floquet - stepper)) <= 1e-11
+
+
+@pytest.mark.parametrize("bias", [2.0, 0.7])
+def test_gap_zero_floquet_operator(bias):
+    # gap 0 makes F diagonal; at integer bias it is the identity, where
+    # sin(theta) = 0 and the power formula must take its limit
+    psi0 = QubitState(np.array([0.6, 0.8j]))
+    floquet, stepper = _floquet_and_stepper(
+        QubitSpec(0.0, bias), SemiclassicalDrive(10.0, 0.4),
+        TimeGrid(0.0, 7.0 * 2.0 * math.pi, 113), 64, psi0,
+    )
+    assert np.max(np.abs(floquet - 0.64)) < 1e-12
+    assert np.max(np.abs(floquet - stepper)) <= 1e-11
+
+
+def _random_unitary(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+@pytest.mark.parametrize("kind", ["random", "identity", "minus identity", "diagonal", "swap"])
+def test_floquet_power_matches_repeated_products(kind):
+    rng = np.random.default_rng(7)
+    f = {
+        "random": _random_unitary(rng),
+        "identity": np.eye(2, dtype=complex),
+        "minus identity": -np.eye(2, dtype=complex),
+        "diagonal": np.diag(np.exp([0.3j, -1.1j])),
+        "swap": np.array([[0.0, 1.0j], [1.0j, 0.0]]),
+    }[kind]
+    psi = np.array([0.6, 0.8j])
+    powers = np.arange(0, 40)
+    got = dynamics._floquet_power_on(f, psi, powers.astype(float))
+    want = np.array([np.linalg.matrix_power(f, k) @ psi for k in powers])
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_golden_grid_converges_for_both_stepping_rules():
+    # the golden evolve case: its sample spacing is not a whole number of
+    # steps, so Floquet and the stepper place step boundaries differently;
+    # both stay within 1e-8 of a 16,384-step run
+    qubit = QubitSpec(0.4, 2.0)
+    drive = SemiclassicalDrive(10.0, 0.0)
+    grid = TimeGrid(0.0, 20.0, 41)
+    floquet, stepper = _floquet_and_stepper(qubit, drive, grid, 256)
+    converged = propagate_semiclassical(
+        qubit, drive, QubitState.down(), grid, steps_per_period=16384
+    ).p_down
+    assert np.max(np.abs(floquet - converged)) < 1e-8
+    assert np.max(np.abs(stepper - converged)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "which, message", [("period", "unitarity"), ("partial step", "norm drifted")]
+)
+def test_non_unitary_steps_raise_norm_drift(monkeypatch, which, message):
+    # the sample at exactly one period is F psi0 with no prefix and a
+    # zero-width partial step, so the period's own check must catch a leak
+    # in the period's steps, and the per-sample check one in the partial step
+    real = dynamics._cf4_step_matrices
+
+    def leaky(qubit, drive, t_start, h, count):
+        scale = 1.0 + 1e-6 if (count > 1) == (which == "period") else 1.0
+        return tuple(scale * entry for entry in real(qubit, drive, t_start, h, count))
+
+    monkeypatch.setattr(dynamics, "_cf4_step_matrices", leaky)
+    with pytest.raises(NormDriftError, match=message):
+        propagate_semiclassical(
+            QubitSpec(0.4, 2.0), SemiclassicalDrive(10.0), QubitState.down(),
+            TimeGrid(0.0, 2.0 * math.pi, 2), steps_per_period=256,
+        )
+
+
+def test_period_too_large_for_memory_is_refused(monkeypatch):
+    import lzsim.models
+
+    def unreachable(*args):
+        raise AssertionError("step matrices built before the memory check")
+
+    monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 10**6)
+    monkeypatch.setattr(dynamics, "_cf4_step_matrices", unreachable)
+    with pytest.raises(ResourceLimitError, match="one period of 8192 steps"):
+        propagate_semiclassical(
+            QubitSpec(0.4, 2.0), SemiclassicalDrive(10.0), QubitState.down(),
+            TimeGrid(0.0, 1.0, 3), steps_per_period=8192,
+        )
 
 
 # ------------------------------------------------------- quantum propagator

@@ -3,8 +3,8 @@
 Each row names a public callable, a valid set of arguments and the argument
 under test.  Every bad value put in that argument's place must raise
 ValueError whose message names the argument ("got <name>=...").  Reals are
-refused when non-finite or below their range; integers also when they are a
-bool or a non-integral float.
+refused when non-finite, below their range or a bool; integers also when
+they are a non-integral float.
 """
 
 import math
@@ -61,7 +61,9 @@ from lzsim.specfun import (
 from lzsim.spectra import bessel_laguerre_identity_error_grid
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
-REAL, INT = "real", "int"
+# DERIVED rows bound an expression of several arguments: only their
+# out-of-range values are tried, under the expression's label
+REAL, INT, DERIVED = "real", "int", "derived"
 
 Q0 = QubitSpec(0.01, 0.0)
 CAV = CavityCoupling(0.1, 10)
@@ -80,7 +82,9 @@ class Row(NamedTuple):
         return self.fn(**{**self.base, self.arg: self.wrap(value)})
 
     def bad_values(self):
-        kind_bad = NON_FINITE + ((True, 2.5) if self.kind == INT else ())
+        if self.kind == DERIVED:
+            return self.below
+        kind_bad = NON_FINITE + (True, np.True_) + ((2.5,) if self.kind == INT else ())
         return kind_bad + self.below
 
 
@@ -138,8 +142,8 @@ TABLE = [
     *rows(rabi_freq_quantum, dict(qubit=Q0, coupling=0.1, n=3, k=0),
           ("coupling", REAL, (-0.1,)), ("n", INT, (-1,)), ("k", INT, (-1,))),
     *rows(equivalent_amplitude, dict(coupling=0.1, n=4.0, shift=0.0),
-          ("coupling", REAL, (-0.1,)),
-          ("n", REAL, (-5.0,), "n + shift"), ("shift", REAL, (-5.0,), "n + shift")),
+          ("coupling", REAL, (-0.1,)), ("n", REAL), ("shift", REAL),
+          ("n", DERIVED, (-5.0,), "n + shift"), ("shift", DERIVED, (-5.0,), "n + shift")),
     *rows(exact_splitting, dict(qubit=Q0, cavity=CAV, n=1, k=0),
           ("n", INT, (-1,)), ("k", INT, (-1,))),
     *rows(comparison_grid, dict(qubit=Q0, coupling=0.1, k=0, n_values=[1, 2], shift=0.0),

@@ -73,14 +73,15 @@ def test_quantum_frequency_is_signed_overlap():
 def test_equivalent_amplitude():
     assert equivalent_amplitude(0.25, 100.0) == pytest.approx(10.0, rel=1e-15)
     assert equivalent_amplitude(0.25, 99.0, shift=1.0) == pytest.approx(10.0, rel=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got n \\+ shift="):
         equivalent_amplitude(0.25, 0.0, shift=-0.5)
     with pytest.raises(ValueError):
         equivalent_amplitude(-0.25, 4.0)
     with pytest.raises(ValueError, match="coupling"):
         equivalent_amplitude(math.inf, 4.0)
-    for n, shift in [(math.nan, 0.0), (math.inf, 0.0), (4.0, math.nan)]:
-        with pytest.raises(ValueError, match="n \\+ shift"):
+    # a non-finite argument is named itself, not through the sum
+    for n, shift, name in [(math.nan, 0.0, "n"), (math.inf, 0.0, "n"), (4.0, math.nan, "shift")]:
+        with pytest.raises(ValueError, match=f"got {name}="):
             equivalent_amplitude(0.1, n, shift)
 
 
