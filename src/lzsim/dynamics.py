@@ -49,6 +49,8 @@ from .models import (
 
 #: integration steps per drive period for the driven propagator
 STEPS_PER_PERIOD = 4096
+#: largest |t| a TimeGrid accepts
+MAX_TIME = 1e15
 
 _NORM_TOL = 1e-9
 _TRUNCATION_LEAK_TOL = 1e-8
@@ -66,15 +68,20 @@ _SAMPLE_CHUNK = 512
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling times t0, ..., t1 with `samples` points."""
+    """Uniform sampling times t0, ..., t1 with `samples` points.
+
+    |t0| and |t1| are at most 1e15, where neighbouring doubles lie 0.125 rad
+    of drive phase apart; beyond it a sample time no longer fixes the phase.
+    """
 
     t0: float
     t1: float
     samples: int
 
     def __post_init__(self):
-        object.__setattr__(self, "t0", require_real("t0", self.t0))
-        object.__setattr__(self, "t1", require_real("t1", self.t1, self.t0, above=True))
+        t0 = require_real("t0", self.t0, -MAX_TIME, MAX_TIME)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "t1", require_real("t1", self.t1, t0, MAX_TIME, above=True))
         object.__setattr__(self, "samples", require_int("samples", self.samples, 2))
 
     def times(self) -> np.ndarray:

@@ -74,13 +74,19 @@ def _bessel_series(k: int, x: float) -> float:
     return math.copysign(math.exp(value), total)
 
 
+def _miller_margin(x: float) -> int:
+    """Rows a Miller pass starts above a turning point whose Airy scale is x.
+
+    Far enough that the admixed dominant solution decays below 1e-18 before
+    the rows of interest (Airy-regime decay rate ~ exp(-0.94 d^{3/2}/sqrt(x))
+    for a start offset d).
+    """
+    return 20 + int(math.ceil(14.0 * max(x, 1.0) ** (1.0 / 3.0)))
+
+
 def _bessel_miller(k: int, x: float) -> float:
-    # Start far enough above the turning point that the admixed dominant
-    # solution decays below 1e-18 before the orders of interest (Airy-regime
-    # decay rate ~ exp(-0.94 d^{3/2}/sqrt(x)) for a start offset d).
     top = max(k, int(math.ceil(x)))
-    offset = 20 + int(math.ceil(14.0 * max(x, 1.0) ** (1.0 / 3.0)))
-    m_start = top + offset
+    m_start = top + _miller_margin(x)
     if m_start % 2:
         m_start += 1
 

@@ -41,6 +41,8 @@ from .specfun import (
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the doublet weight exact_splitting's window may leave out on either side
+_WINDOW_TAIL = 1e-16
 
 
 def rabi_freq_weak_semiclassical(qubit: QubitSpec, amplitude: float) -> float:
@@ -84,11 +86,16 @@ def equivalent_amplitude(coupling: float, n: float, shift: float = 0.0) -> float
 def exact_splitting(qubit: QubitSpec, cavity: CavityCoupling, n: int, k: int) -> float:
     """Eigenvalue gap of the displaced-oscillator doublet ((up, n+k), (down, n)).
 
-    Diagonalises the dense joint Hamiltonian on the resonance bias = k and
-    finds the two eigenvectors with the largest summed squared overlap
-    against the doublet; their mean captured weight must reach 0.8.  Raises
-    ResourceLimitError, before allocating, when the diagonalisation would
-    not fit in physical memory.
+    Builds the doublet's two displaced Fock columns on the caller's cavity
+    (grwa_state, so its TruncationError guards them) and diagonalises the
+    joint Hamiltonian on the resonance bias = k over a Fock window around
+    them.  The window runs from the first to the last row outside which the
+    summed squared tails of both columns stay below 1e-16, widened on each
+    side by half its width (at least one row) and clipped to the cavity.
+    The two eigenvectors with the largest summed squared overlap against the
+    columns cut to the window are the doublet; their mean captured weight
+    must reach 0.8.  Raises ResourceLimitError, before allocating, when the
+    window's diagonalisation would not fit in physical memory.
     """
     n = require_int("n", n)
     k = require_int("k", k)
@@ -96,11 +103,19 @@ def exact_splitting(qubit: QubitSpec, cavity: CavityCoupling, n: int, k: int) ->
         raise ValueError(f"resonance requires bias = k, got bias={qubit.bias}, k={k}")
     if n + k > cavity.n_max:
         raise ValueError(f"n+k={n + k} exceeds n_max={cavity.n_max}")
-    require_dense_memory(cavity.dim)
-    energies, modes = np.linalg.eigh(rabi_hamiltonian(qubit, cavity))
-    pair_a = grwa_state(Branch.UP, n + k, cavity).amplitudes.real
-    pair_b = grwa_state(Branch.DOWN, n, cavity).amplitudes.real
-    weights = (modes.T @ pair_a) ** 2 + (modes.T @ pair_b) ** 2
+    pair_a = grwa_state(Branch.UP, n + k, cavity).branch(Branch.UP).real
+    pair_b = grwa_state(Branch.DOWN, n, cavity).branch(Branch.DOWN).real
+    weight = pair_a * pair_a + pair_b * pair_b
+    lo = int(np.searchsorted(np.cumsum(weight), _WINDOW_TAIL))
+    hi = weight.size - 1 - int(np.searchsorted(np.cumsum(weight[::-1]), _WINDOW_TAIL))
+    half = (hi - lo + 2) // 2
+    lo, hi = max(0, lo - half), min(weight.size - 1, hi + half)
+    window = CavityCoupling(cavity.coupling, cavity.n_min + hi, cavity.n_min + lo)
+    require_dense_memory(window.dim)
+    energies, modes = np.linalg.eigh(rabi_hamiltonian(qubit, window))
+    levels = window.levels
+    weights = (modes[:levels].T @ pair_a[lo : hi + 1]) ** 2
+    weights += (modes[levels:].T @ pair_b[lo : hi + 1]) ** 2
     first, second = np.argsort(weights)[-2:]
     captured = 0.5 * (weights[first] + weights[second])
     if captured < 0.8:

@@ -369,6 +369,16 @@ def test_library_input_error_is_a_config_error(capsys):
     assert err == "lzsim: config error: evolve: m must be an integer in [0, 10], got m=50\n"
 
 
+def test_evolve_refuses_sample_times_beyond_phase_resolution(capsys):
+    # near 1e300 neighbouring doubles lie far more than a drive period apart
+    code, out, err = run_cli(
+        capsys, "evolve", "picture=semiclassical", "gap=0.4", "bias=2", "amplitude=10",
+        "t-end=1e300", "samples=3",
+    )
+    assert code == 2 and out == ""
+    assert "got t1=1e+300" in err and "1e+15]" in err
+
+
 def test_evolve_refuses_a_diagonalisation_beyond_memory(capsys, monkeypatch):
     # mean 1e6 needs a window of dimension 40,094: about 64 GB for eigh.
     # The guard must fire before the evolution or the coherent state

@@ -164,7 +164,7 @@ TABLE = [
           ("ks", INT, (-1,), "k", lambda v: [2, v])),
     # dynamics
     *rows(TimeGrid, dict(t0=0.0, t1=1.0, samples=5),
-          ("t0", REAL), ("t1", REAL, (0.0, -1.0)), ("samples", INT, (1,))),
+          ("t0", REAL, (-2e15, 2e15)), ("t1", REAL, (0.0, -1.0, 2e15)), ("samples", INT, (1,))),
     *rows(propagate_semiclassical,
           dict(qubit=Q0, drive=SemiclassicalDrive(1.0), psi0=QubitState.down(),
                grid=TimeGrid(0.0, 1.0, 3), steps_per_period=64),

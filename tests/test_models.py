@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ from lzsim import (
     rabi_hamiltonian,
     semiclassical_hamiltonian,
 )
+from lzsim.models import _displaced_fock_column
+from lzsim.specfun import displaced_fock_overlap
 
 
 # ------------------------------------------------------------ static specs
@@ -229,6 +232,95 @@ def test_grwa_state_is_displaced_fock_column():
         assert np.all(state.branch(other) == 0.0)
 
 
+def _per_row_column(m, displacement, n_min, n_max):
+    # the replaced kernel: one scalar overlap, with its own recurrence, per row
+    d = abs(displacement)
+    col = np.empty(n_max - n_min + 1, dtype=float)
+    for j in range(n_min, n_max + 1):
+        if j >= m:
+            val = displaced_fock_overlap(m, j - m, d)
+        else:
+            val = displaced_fock_overlap(j, m - j, d)
+            if (m - j) % 2:
+                val = -val
+        if displacement < 0.0 and (j - m) % 2:
+            val = -val
+        col[j - n_min] = val
+    return col
+
+
+def _column_ref(j, m, displacement, cache):
+    # <j| exp(d (adag - a)) |m> from the mpmath overlap, one oracle call per |d|
+    low, gap = min(j, m), abs(j - m)
+    key = (low, gap, abs(displacement))
+    if key not in cache:
+        cache[key] = oracles.overlap_ref(*key)
+    flip = gap % 2 and (j < m) != (displacement < 0.0)
+    return -cache[key] if flip else cache[key]
+
+
+def _band(m, d, pad):
+    # rows from below the lower turning point to above the upper one
+    lower = max(0, math.floor((math.sqrt(m) - abs(d)) ** 2) - pad)
+    return lower, math.ceil((math.sqrt(m) + abs(d)) ** 2) + pad
+
+
+COLUMN_MS = (0, 1, 2, 10, 300, 1000, 1005)
+COLUMN_DS = (0.0, 0.1, -0.1, 0.3, -0.3, 1.0, -1.0, 2.0, 3.0)
+
+
+def test_displaced_fock_column_matches_mpmath():
+    cache = {}
+    # far displacements at small m, where the column's Poisson tail is wide
+    far = [(0, 8.0), (1, -8.0), (30, 12.0)]
+    for m, d in [(m, d) for m in COLUMN_MS for d in COLUMN_DS] + far:
+        lo, hi = _band(m, d, 60)
+        col = _displaced_fock_column(m, d, 0, hi)
+        rows = {0, m - 1, m, m + 1} | set(np.linspace(lo, hi, 11).astype(int).tolist())
+        for j in sorted(rows - {-1}):
+            ref = _column_ref(j, m, d, cache)
+            assert abs(col[j] - ref) <= 1e-12, f"m={m}, d={d}, row {j}: {col[j]!r} vs {ref!r}"
+
+
+def test_displaced_fock_column_on_a_window_is_a_slice():
+    cache = {}
+    part = _displaced_fock_column(300, -0.7, 250, 400)
+    assert np.array_equal(part, _displaced_fock_column(300, -0.7, 0, 400)[250:])
+    for j in (250, 280, 299, 300, 301, 330, 370, 400):
+        assert abs(part[j - 250] - _column_ref(j, 300, -0.7, cache)) <= 1e-12
+
+
+def test_displaced_fock_column_at_a_node_of_row_m():
+    # d^2 at the first zero of L_10: the entry at row m vanishes, so the
+    # scale must come from row m - 1 or m + 1
+    d = float(mp.sqrt(mp.findroot(lambda x: mp.laguerre(10, 0, x), 0.14)))
+    col = _displaced_fock_column(10, d, 0, 60)
+    assert abs(col[10]) <= 1e-15
+    cache = {}
+    for j in range(61):
+        assert abs(col[j] - _column_ref(j, 10, d, cache)) <= 1e-12
+
+
+def test_displaced_fock_column_matches_the_per_row_path():
+    for m in COLUMN_MS:
+        for d in COLUMN_DS:
+            lo, hi = _band(m, d, 30)
+            new = _displaced_fock_column(m, d, lo, hi)
+            old = _per_row_column(m, d, lo, hi)
+            assert np.max(np.abs(new - old)) <= 1e-11 * np.max(np.abs(old)), (m, d)
+
+
+def test_displaced_fock_column_tiny_and_out_of_range_displacements():
+    # below |d| = 1e-50 the column is |m>; just above it the recurrence's
+    # 1/d steps must not overflow between rescales
+    assert np.array_equal(_displaced_fock_column(4, 1e-51, 0, 9), np.eye(10)[4])
+    col = _displaced_fock_column(1000, 1e-49, 990, 1010)
+    assert np.all(np.isfinite(col)) and col[10] == 1.0
+    assert col[11] == pytest.approx(1e-49 * math.sqrt(1001.0), rel=1e-13)
+    with pytest.raises(ValueError, match="above supported range"):
+        _displaced_fock_column(0, 1000.0, 0, 10)
+
+
 def test_grwa_state_truncation_guard():
     with pytest.raises(TruncationError):
         grwa_state(Branch.UP, 49, CavityCoupling(2.0, 50))
@@ -361,8 +453,9 @@ def test_dense_memory_guard_raises_before_allocating(monkeypatch):
     # 8 * (5 * 2002^2 + 6 * 2002) bytes
     with pytest.raises(ResourceLimitError, match="dimension 2002 needs about 160416256 bytes"):
         SpectralEvolution(qubit, CavityCoupling(0.1, 1000))
+    # exact_splitting counts its doublet window: 2 x 231 levels need 8.6 MB
     with pytest.raises(ResourceLimitError, match="4000000 bytes of physical memory"):
-        exact_splitting(qubit, CavityCoupling(0.1, 1000), 10, 2)
+        exact_splitting(qubit, CavityCoupling(1.0, adequate_n_max(300, 1.0)), 300, 2)
     # the window is what is counted: 2 x 180 levels need 5.2 MB, 2 x 150 need 3.6 MB
     with pytest.raises(ResourceLimitError, match="dimension 360"):
         SpectralEvolution(qubit, CavityCoupling(0.1, 999, 820))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 import oracles
 from lzsim import (
+    Branch,
     CavityCoupling,
     ComparisonRow,
     FitDegenerateError,
     PairIdentificationError,
     QubitSpec,
+    adequate_n_max,
     agreement_onset,
     bessel_laguerre_identity_error,
     comparison_grid,
@@ -19,11 +22,13 @@ from lzsim import (
     exact_splitting,
     figure_photon_grid,
     fit_amplitude_shift,
+    grwa_state,
     jc_splitting,
     predicted_shift,
     rabi_freq_quantum,
     rabi_freq_semiclassical,
     rabi_freq_weak_semiclassical,
+    rabi_hamiltonian,
 )
 
 
@@ -126,6 +131,53 @@ def test_exact_splitting_reports_unidentifiable_pairs():
     cav = CavityCoupling(1.0, 40)
     with pytest.raises(PairIdentificationError):
         exact_splitting(q, cav, 1, 0)
+
+
+def _full_basis_splitting(qubit, cavity, n, k):
+    # the replaced body: eigh of the whole cavity, modes weighed against the
+    # full doublet columns
+    energies, modes = np.linalg.eigh(rabi_hamiltonian(qubit, cavity))
+    pair_a = grwa_state(Branch.UP, n + k, cavity).amplitudes.real
+    pair_b = grwa_state(Branch.DOWN, n, cavity).amplitudes.real
+    weights = (modes.T @ pair_a) ** 2 + (modes.T @ pair_b) ** 2
+    first, second = np.argsort(weights)[-2:]
+    return float(abs(energies[first] - energies[second]))
+
+
+def _splitting_cases():
+    # (coupling, n_max, n_min, n, k), all at gap 0.01
+    cases = []
+    for coupling in (0.1, 1.0):  # test_02's grid
+        for k in (0, 1, 2):
+            cases += [(coupling, 80, 0, n, k) for n in range(11)]
+    cases += [(0.01, 40, 0, n, 1) for n in (0, 3, 8)]
+    cases += [(0.1, 60, 0, n, 0) for n in (0, 3, 10)]
+    n_max = adequate_n_max(300, 1.0)
+    for coupling in (0.1, 0.55, 1.0):
+        cases += [(coupling, n_max, 0, 300, k) for k in (0, 1, 2, 5)]
+    cases.append((0.55, n_max, 200, 300, 2))  # a caller's cavity with n_min > 0
+    cases.append((1.0, adequate_n_max(1000, 1.0), 0, 1000, 5))
+    return cases
+
+
+def test_windowed_splitting_matches_the_full_basis():
+    # eigh rounding alone separates the two: a few ulps of the doublet
+    # energy, about n + k
+    eps = np.finfo(float).eps
+    for coupling, n_max, n_min, n, k in _splitting_cases():
+        qubit, cavity = QubitSpec(0.01, float(k)), CavityCoupling(coupling, n_max, n_min)
+        got = exact_splitting(qubit, cavity, n, k)
+        want = _full_basis_splitting(qubit, cavity, n, k)
+        assert abs(got - want) <= 64 * eps * (n + k + 1), (coupling, n_min, n, k, got, want)
+
+
+def test_exact_splitting_at_figure_grid_photon_numbers():
+    qubit = QubitSpec(0.01, 5.0)
+    start = time.perf_counter()
+    got = exact_splitting(qubit, CavityCoupling(1.0, adequate_n_max(1000, 1.0)), 1000, 5)
+    elapsed = time.perf_counter() - start
+    assert got == pytest.approx(abs(rabi_freq_quantum(qubit, 1.0, 1000, 5)), rel=0.02)
+    assert elapsed < 3.0, f"exact_splitting at n = 1000 took {elapsed:.2f} s"
 
 
 # -------------------------------------------------------- comparison grids
