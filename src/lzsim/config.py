@@ -9,7 +9,7 @@ file entries, so a file can hold the common case and the shell the variation.
 import math
 from dataclasses import dataclass
 
-from .dynamics import STEPS_PER_PERIOD
+from .dynamics import MAX_TIME, STEPS_PER_PERIOD
 
 
 class ConfigError(Exception):
@@ -169,7 +169,8 @@ _KEYS = {
         "picture": (str, _REQUIRED, _one_of("semiclassical", "quantum")),
         "gap": (parse_float, _REQUIRED, _NONNEGATIVE),
         "bias": (parse_float, _REQUIRED, _NONNEGATIVE),
-        "t-end": (parse_float, _REQUIRED, _POSITIVE),
+        "t-end": (parse_float, _REQUIRED,
+                  (lambda v: 0.0 < v <= MAX_TIME, f"must lie in (0, {MAX_TIME:g}]")),
         "samples": (parse_int, _REQUIRED, (lambda v: v >= 2, "must be >= 2")),
         _BRANCH: "picture",
     },

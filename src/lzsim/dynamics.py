@@ -18,7 +18,10 @@ for unitarity like any sample, and its powers use only its unitary part,
 so the rounding of one period is not compounded over many.
 
 The quantized model has no time dependence, so it is diagonalized once and
-states evolve by exact phase rotation in the eigenbasis.
+states evolve by exact phase rotation in the eigenbasis.  Its eigenmodes are
+localized along the Fock ladder, so the diagonalization runs on overlapping
+tiles of a few dozen levels, each keeping the modes centred in its core,
+rather than on the whole window at once.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .models import (
     SemiclassicalDrive,
     _require_memory,
     rabi_hamiltonian,
-    require_dense_memory,
 )
 
 #: integration steps per drive period for the driven propagator
@@ -53,6 +55,10 @@ STEPS_PER_PERIOD = 4096
 MAX_TIME = 1e15
 
 _NORM_TOL = 1e-9
+# kept modes of two tiles may overlap by at most this much: a pair that
+# overlaps by s moves a state's norm by at most 2 s, so the tiles alone
+# never trip the norm check
+_OVERLAP_TOL = 0.5 * _NORM_TOL
 _TRUNCATION_LEAK_TOL = 1e-8
 
 # Gauss-Legendre nodes on [0, 1] and the fourth-order exponential weights.
@@ -297,26 +303,142 @@ def propagate_semiclassical(
     return PopulationTrace(times, np.clip(p, 0.0, 1.0))
 
 
+def _tile_margin(qubit: QubitSpec, cavity: CavityCoupling) -> int:
+    """First margin of the Fock tiles: ceil(4 c sqrt(n_max) + bias) + 20 levels.
+
+    4 c sqrt(n) is the spread of a displaced number state and bias the
+    distance between the two levels a resonant doublet pairs.
+    """
+    return math.ceil(4.0 * cavity.coupling * math.sqrt(cavity.n_max) + qubit.bias) + 20
+
+
+def _tile_bounds(levels: int, margin: int) -> list[tuple[int, int, int, int]]:
+    """(tile start, tile stop, core start, core stop) window indices per tile.
+
+    Cores of `margin` levels cover the window; each tile is its core widened
+    by `margin` on both sides and clipped to the window.  A window of at most
+    3 margin levels is one tile.
+    """
+    if levels <= 3 * margin:
+        return [(0, levels, 0, levels)]
+    return [
+        (max(0, core - margin), min(levels, core + 2 * margin), core, min(levels, core + margin))
+        for core in range(0, levels, margin)
+    ]
+
+
+def _require_tile_memory(levels: int, tile_levels: int) -> None:
+    """Raise ResourceLimitError when the tiled propagator exceeds physical memory.
+
+    The estimate, in doubles, counts the largest tile's dense eigh (5 T^2
+    + 6 T at tile dimension T, see require_dense_memory), the kept modes
+    (each of the window's 2L modes stored on at most T rows) and the sample
+    chunk buffers of traces (per sample, about 6 T for the phase factors and
+    tile products and 6 L for the window's real and imaginary parts and
+    densities).
+    """
+    tile, dim = 2 * tile_levels, 2 * levels
+    need = 8 * (5 * tile * tile + 6 * tile + tile * dim + _SAMPLE_CHUNK * (6 * tile + 3 * dim))
+    _require_memory(
+        need, f"diagonalising Fock tiles of dimension {tile} on a window of dimension {dim}"
+    )
+
+
+def _cross_tile_overlap(tiles) -> float:
+    """Largest |<a|b>| between kept modes a and b of two different tiles.
+
+    Only tiles one or two apart share levels.
+    """
+    worst = 0.0
+    for step in (1, 2):
+        for (first, _, low), (second, _, high) in zip(tiles, tiles[step:]):
+            rows = low.shape[0] // 2
+            shared = first + rows - second
+            if shared > 0:
+                a = low.reshape(2, rows, low.shape[1])[:, second - first :]
+                b = high.reshape(2, high.shape[0] // 2, high.shape[1])[:, :shared]
+                cross = a.reshape(2 * shared, -1).T @ b.reshape(2 * shared, -1)
+                worst = max(worst, float(np.max(np.abs(cross), initial=0.0)))
+    return worst
+
+
 class SpectralEvolution:
     """Diagonalize-once evolution of the coupled qubit-oscillator model.
 
-    The dense joint Hamiltonian on the cavity's Fock window n_min..n_max is
-    diagonalized at construction; traces for any number of initial states
-    and grids then cost one dense matrix-matrix product per batch of
-    samples, and unitarity is exact up to rounding because evolution is a
-    pure phase rotation.  Construction raises ResourceLimitError, before
-    allocating anything, when the diagonalization would not fit in physical
-    memory.  Each initial state must live on the same window and may hold
-    at most 1e-8 of its norm in the outer 5% of the window's levels at
-    either edge (only the top edge when n_min = 0); otherwise
-    TruncationError.
+    The joint Hamiltonian on the cavity's Fock window n_min..n_max is
+    diagonalized at construction, tile by tile along the Fock ladder; traces
+    for any number of initial states and grids then cost one pair of real
+    matrix products per tile and batch of samples, and unitarity is exact up
+    to rounding because evolution is a pure phase rotation.
+
+    Every eigenmode is localized on a few dozen levels around its centre
+    sum_m m |v_m|^2.  The window is covered by cores of M levels, first
+    M = ceil(4 c sqrt(n_max) + bias) + 20, and each core widened by M on
+    both sides (clipped to the window) is one tile, diagonalized densely
+    about its middle level; a tile keeps the modes whose centre lies in its
+    core, whose edges sit at half-integer levels.  A kept mode leaks into
+    the rest of the window only through the ladder entry c sqrt(m) at each
+    interior tile edge, so that entry times the mode's amplitude there is
+    its exact extra residual in the window.  M doubles until the tiles keep
+    exactly one mode per basis state, every extra residual is at most
+    eps * max|E| (eps the machine epsilon) and no two kept modes of
+    different tiles overlap by more than 5e-10, which a pair of
+    (near-)degenerate modes mixed differently by two tiles would.  A window
+    of at most 3 M levels is one tile, the dense diagonalization of the
+    whole window.
+
+    Construction raises ResourceLimitError, before allocating anything,
+    when the tiles, the kept modes and the sample buffers of traces would
+    not fit in physical memory.  Each initial state must live on the same
+    window and may hold at most 1e-8 of its norm in the outer 5% of the
+    window's levels at either edge (only the top edge when n_min = 0);
+    otherwise TruncationError.
     """
 
     def __init__(self, qubit: QubitSpec, cavity: CavityCoupling):
-        require_dense_memory(cavity.dim)
         self.qubit = qubit
         self.cavity = cavity
-        self._energies, self._modes = np.linalg.eigh(rabi_hamiltonian(qubit, cavity))
+        margin = _tile_margin(qubit, cavity)
+        while (tiles := self._diagonalise_tiles(margin)) is None:
+            margin *= 2
+        self._margin = margin
+        # (tile start, energies, modes on the tile's rows of both branches)
+        self._tiles = tiles
+
+    def _diagonalise_tiles(self, margin):
+        """The kept modes of each tile at this margin, or None if they fail a check."""
+        cav = self.cavity
+        bounds = _tile_bounds(cav.levels, margin)
+        _require_tile_memory(cav.levels, max(stop - start for start, stop, _, _ in bounds))
+        tiles, leak = [], 0.0
+        for start, stop, core_start, core_stop in bounds:
+            tile = CavityCoupling(cav.coupling, cav.n_min + stop - 1, cav.n_min + start)
+            # diagonalise about the tile's middle level: eigh's rounding scales
+            # with the norm of its input, n_max unshifted, and it sets how
+            # differently two tiles resolve a near-degenerate pair they share
+            h = rabi_hamiltonian(self.qubit, tile)
+            shift = float(tile.n_min + (stop - start) // 2)
+            h.reshape(-1)[:: h.shape[0] + 1] -= shift
+            energies, modes = np.linalg.eigh(h)
+            energies += shift
+            weight = modes.reshape(2, stop - start, -1) ** 2
+            weight = weight[0] + weight[1]
+            centre = np.arange(start, stop) @ weight
+            keep = (centre >= core_start - 0.5) & (centre < core_stop - 0.5)
+            tiles.append((start, energies[keep], modes[:, keep]))
+            # squared ladder entry times squared edge amplitude, at each interior edge
+            edges = np.zeros(np.count_nonzero(keep))
+            if start > 0:
+                edges += cav.coupling**2 * (cav.n_min + start) * weight[0, keep]
+            if stop < cav.levels:
+                edges += cav.coupling**2 * (cav.n_min + stop) * weight[-1, keep]
+            leak = max(leak, float(np.max(edges, initial=0.0)))
+        if sum(energies.size for _, energies, _ in tiles) != cav.dim:
+            return None
+        scale = max(float(np.max(np.abs(energies), initial=0.0)) for _, energies, _ in tiles)
+        if math.sqrt(leak) > np.finfo(float).eps * scale:
+            return None
+        return tiles if _cross_tile_overlap(tiles) <= _OVERLAP_TOL else None
 
     def _prepare(self, initial: JointState):
         cav = self.cavity
@@ -339,7 +461,11 @@ class SpectralEvolution:
                     f"oscillator levels (limit {_TRUNCATION_LEAK_TOL:g}) of the window "
                     f"n_min={cav.n_min}, n_max={cav.n_max}; widen it"
                 )
-        return self._modes.T @ initial.amplitudes
+        amplitudes = initial.amplitudes.reshape(2, levels)
+        return [
+            modes.T @ amplitudes[:, start : start + modes.shape[0] // 2].reshape(-1)
+            for start, _, modes in self._tiles
+        ]
 
     def traces(
         self,
@@ -348,7 +474,7 @@ class SpectralEvolution:
         quadrature: bool = False,
     ) -> tuple[PopulationTrace, QuadratureTrace | None]:
         """Population trace and, optionally, the quadrature trace."""
-        coeff = self._prepare(initial)
+        coeffs = self._prepare(initial)
         times = grid.times()
         levels = self.cavity.levels
         root = np.sqrt(np.arange(self.cavity.n_min + 1, self.cavity.n_max + 1))
@@ -357,12 +483,18 @@ class SpectralEvolution:
 
         for lo in range(0, times.size, _SAMPLE_CHUNK):
             t = times[lo : lo + _SAMPLE_CHUNK]
-            rot = np.exp(np.outer(self._energies, -1j * t)) * coeff[:, None]
-            # keep the eigenvector matrix real (two real products instead of
-            # one complex product against an upcast copy); the contiguous
-            # copies keep matmul on its fast path
-            re = self._modes @ np.ascontiguousarray(rot.real)
-            im = self._modes @ np.ascontiguousarray(rot.imag)
+            re = np.zeros((2, levels, t.size))
+            im = np.zeros((2, levels, t.size))
+            for (start, energies, modes), coeff in zip(self._tiles, coeffs):
+                rot = np.exp(np.outer(energies, -1j * t)) * coeff[:, None]
+                rows = slice(start, start + modes.shape[0] // 2)
+                # keep the eigenvector matrix real (two real products instead
+                # of one complex product against an upcast copy); the
+                # contiguous copies keep matmul on its fast path
+                re[:, rows] += (modes @ np.ascontiguousarray(rot.real)).reshape(2, -1, t.size)
+                im[:, rows] += (modes @ np.ascontiguousarray(rot.imag)).reshape(2, -1, t.size)
+            re = re.reshape(2 * levels, t.size)
+            im = im.reshape(2 * levels, t.size)
             dens = re * re + im * im
             norm = dens.sum(axis=0)
             drift = float(np.max(np.abs(norm - 1.0)))

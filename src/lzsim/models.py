@@ -112,21 +112,6 @@ def mixing_angle(qubit: QubitSpec) -> float:
     return math.atan2(qubit.bias, qubit.gap)
 
 
-def qubit_energy(qubit: QubitSpec) -> float:
-    """Bare qubit splitting sqrt(gap^2 + bias^2)."""
-    return math.hypot(qubit.gap, qubit.bias)
-
-
-def semiclassical_hamiltonian(
-    qubit: QubitSpec, drive: SemiclassicalDrive, t: float
-) -> np.ndarray:
-    """Instantaneous 2x2 driven-qubit Hamiltonian in the sigma_z basis."""
-    t = require_real("t", t)
-    z = 0.5 * (qubit.bias + drive.amplitude * math.cos(t + drive.phase))
-    g = 0.5 * qubit.gap
-    return np.array([[-z, -g], [-g, z]], dtype=float)
-
-
 def rabi_hamiltonian(qubit: QubitSpec, cavity: CavityCoupling) -> np.ndarray:
     """Dense real-symmetric qubit-oscillator Hamiltonian on the joint basis.
 
@@ -453,10 +438,3 @@ def grwa_state(branch: Branch, m: int, cavity: CavityCoupling) -> JointState:
     amps = np.zeros(2 * n_states, dtype=complex)
     amps[int(branch) * n_states : (int(branch) + 1) * n_states] = col
     return JointState(amps, cavity.n_max, cavity.n_min)
-
-
-def grwa_energy(branch: Branch, m: int, qubit: QubitSpec, cavity: CavityCoupling) -> float:
-    """Displaced-oscillator energy -/+ bias/2 + m - coupling^2 (minus for up)."""
-    m = require_int("m", m)
-    sign = -1.0 if branch == Branch.UP else 1.0
-    return sign * 0.5 * qubit.bias + m - cavity.coupling**2

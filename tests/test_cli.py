@@ -376,14 +376,16 @@ def test_evolve_refuses_sample_times_beyond_phase_resolution(capsys):
         "t-end=1e300", "samples=3",
     )
     assert code == 2 and out == ""
-    assert "got t1=1e+300" in err and "1e+15]" in err
+    assert "key 't-end': must lie in (0, 1e+15], got 1.0000000000000001e+300" in err
 
 
 def test_evolve_refuses_a_diagonalisation_beyond_memory(capsys, monkeypatch):
-    # mean 1e6 needs a window of dimension 40,094: about 64 GB for eigh.
-    # The guard must fire before the evolution or the coherent state
-    # allocates anything.  The memory reading is capped at 32 GiB so that
-    # a host with more would still refuse rather than start the run.
+    # at mean 1e6 and coupling 2.5 the tile margin (10,073 levels) exceeds a
+    # third of the window, so the window of dimension 40,262 is one tile:
+    # about 79 GB for its eigh, kept modes and sample buffers.  The guard
+    # must fire before the evolution or the coherent state allocates
+    # anything.  The memory reading is capped at 32 GiB so that a host with
+    # more would still refuse rather than start the run.
     import tracemalloc
 
     import lzsim.models
@@ -397,14 +399,15 @@ def test_evolve_refuses_a_diagonalisation_beyond_memory(capsys, monkeypatch):
     try:
         code, out, err = run_cli(
             capsys, "evolve", "picture=quantum", "gap=0.4", "bias=2",
-            "coupling=0.25", "initial=coherent", "mean=1e6", "t-end=10", "samples=11",
+            "coupling=2.5", "initial=coherent", "mean=1e6", "t-end=10", "samples=11",
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 3 and out == ""
     assert err.startswith("lzsim: numerical failure:")
-    assert "dimension 40094" in err and "bytes of physical memory" in err
+    assert "tiles of dimension 40262 on a window of dimension 40262" in err
+    assert "bytes of physical memory" in err
     assert peak < 16 * 2**20
 
 

@@ -429,6 +429,162 @@ def test_window_matches_full_basis_at_strong_coupling(start):
     assert np.ptp(x_full.x_mean) > 1.0
 
 
+def _apply_hamiltonian(qubit, cavity, v):
+    """rabi_hamiltonian(qubit, cavity) @ v from its ladder structure, v of shape (dim, k)."""
+    levels = cavity.levels
+    up, down = v[:levels], v[levels:]
+    m = np.arange(cavity.n_min, cavity.n_max + 1.0)[:, None]
+    ladder = cavity.coupling * np.sqrt(np.arange(cavity.n_min + 1.0, cavity.n_max + 1))[:, None]
+    h_up = (m - 0.5 * qubit.bias) * up - 0.5 * qubit.gap * down
+    h_down = (m + 0.5 * qubit.bias) * down - 0.5 * qubit.gap * up
+    h_up[:-1] -= ladder * up[1:]
+    h_up[1:] -= ladder * up[:-1]
+    h_down[:-1] += ladder * down[1:]
+    h_down[1:] += ladder * down[:-1]
+    return np.concatenate((h_up, h_down))
+
+
+def _residuals(qubit, cavity, energies, modes):
+    """H v - E v for eigenpairs given on the whole window, shape (2, levels, k)."""
+    resid = _apply_hamiltonian(qubit, cavity, modes) - modes * energies
+    return resid.reshape(2, cavity.levels, -1)
+
+
+def _column_norms(block):
+    """Norm of each eigenpair's residual, from shape (2, levels, k)."""
+    return np.sqrt(np.sum(block * block, axis=(0, 1)))
+
+
+def _one_eigh_traces(qubit, cavity, initial, grid):
+    """Population, quadrature and worst residual from one eigh of the whole window.
+
+    The synthesis SpectralEvolution ran before it diagonalised tile by tile.
+    """
+    energies, modes = np.linalg.eigh(rabi_hamiltonian(qubit, cavity))
+    coeff = modes.T @ initial.amplitudes
+    t = grid.times()
+    rot = np.exp(np.outer(energies, -1j * t)) * coeff[:, None]
+    re = modes @ np.ascontiguousarray(rot.real)
+    im = modes @ np.ascontiguousarray(rot.imag)
+    levels = cavity.levels
+    p = (re * re + im * im)[levels:].sum(axis=0)
+    root = np.sqrt(np.arange(cavity.n_min + 1, cavity.n_max + 1))
+    x = np.zeros(t.size)
+    for block in (slice(0, levels), slice(levels, 2 * levels)):
+        rb, ib = re[block], im[block]
+        x += root @ (rb[:-1] * rb[1:] + ib[:-1] * ib[1:])
+    resid = _residuals(qubit, cavity, energies, modes)
+    return p, x, float(np.max(_column_norms(resid)))
+
+
+def _tiled_residuals(evo):
+    """Worst window residual of the kept modes, and the worst part of it outside their tiles.
+
+    Each kept mode is zero-padded to the whole window first.
+    """
+    cav = evo.cavity
+    worst = outside = 0.0
+    for start, energies, modes in evo._tiles:
+        rows = modes.shape[0] // 2
+        full = np.zeros((2, cav.levels, energies.size))
+        full[:, start : start + rows] = modes.reshape(2, rows, energies.size)
+        full = full.reshape(cav.dim, energies.size)
+        resid = _residuals(evo.qubit, cav, energies, full)
+        worst = max(worst, float(np.max(_column_norms(resid), initial=0.0)))
+        resid[:, start : start + rows] = 0.0
+        outside = max(outside, float(np.max(_column_norms(resid), initial=0.0)))
+    return worst, outside
+
+
+def _tiled_against_one_eigh(gap, bias, coupling, mean):
+    """SpectralEvolution on the adequate window against the one-eigh synthesis."""
+    qubit = QubitSpec(gap, bias)
+    n_max, n_min = adequate_n_max(mean, coupling), adequate_n_min(mean, coupling)
+    cavity = CavityCoupling(coupling, n_max, n_min)
+    initial = JointState.from_product(
+        QubitState.down(), coherent_state(math.sqrt(mean), n_max, n_min), n_max, n_min
+    )
+    grid = TimeGrid(0.0, 60.0, 241)
+    evo = SpectralEvolution(qubit, cavity)
+    pop, quad = evo.traces(initial, grid, quadrature=True)
+    p, x, full_residual = _one_eigh_traces(qubit, cavity, initial, grid)
+    assert np.max(np.abs(pop.p_down - p)) <= 1e-10
+    assert np.max(np.abs(quad.x_mean - x)) <= 1e-10
+    worst, outside = _tiled_residuals(evo)
+    assert worst <= 2.0 * full_residual
+    # what a kept mode adds to its residual outside its tile is the edge leak
+    scale = max(float(np.max(np.abs(energies), initial=0.0)) for _, energies, _ in evo._tiles)
+    assert outside <= np.finfo(float).eps * scale
+    return evo
+
+
+@pytest.mark.parametrize(
+    "gap, bias, coupling, mean",
+    [
+        (0.4, 2.0, 10.0 / (4.0 * math.sqrt(1000.0)), 1000.0),  # the Figure 4 drive
+        (0.4, 2.0, 1.0, 200.0),
+        (0.4, 20.0, 0.3, 400.0),
+        (0.4, 20.5, 0.3, 1000.0),  # the last tile keeps no mode
+        (0.4, 60.0, 0.3, 400.0),
+        (0.0, 2.0, 0.3, 400.0),  # resonant doublets exactly degenerate
+        (0.4, 2.0, 0.0, 400.0),
+    ],
+)
+def test_tiles_match_one_diagonalisation_of_the_window(gap, bias, coupling, mean):
+    evo = _tiled_against_one_eigh(gap, bias, coupling, mean)
+    assert len(evo._tiles) > 1  # the comparison is of the tiled path
+
+
+@pytest.mark.parametrize("amplitude, margin", [(10.0, 4), (9.0, 23)])
+def test_too_narrow_a_margin_is_widened(monkeypatch, amplitude, margin):
+    # a 4-level margin fails every check; at amplitude 9 a 23-level margin
+    # fails only the edge-residual check (its worst mode leaks 5.3 eps max|E|).
+    # The margin doubles until the tiles pass, and the traces still match the
+    # one-eigh synthesis
+    monkeypatch.setattr(dynamics, "_tile_margin", lambda qubit, cavity: margin)
+    evo = _tiled_against_one_eigh(0.4, 2.0, amplitude / (4.0 * math.sqrt(1000.0)), 1000.0)
+    assert evo._diagonalise_tiles(margin) is None
+    assert evo._margin > margin and len(evo._tiles) > 1
+
+
+def test_modes_no_tile_keeps_widen_the_margin(monkeypatch):
+    # cores that leave two levels uncovered lose the modes centred there;
+    # the count check widens the margin instead of evolving without them
+    # (here up to one tile, since every tiling leaves the gap)
+    tile_bounds = dynamics._tile_bounds
+
+    def leave_a_gap(levels, margin):
+        bounds = tile_bounds(levels, margin)
+        if len(bounds) > 1:
+            start, stop, core_start, core_stop = bounds[1]
+            bounds[1] = (start, stop, core_start + 2, core_stop)
+        return bounds
+
+    monkeypatch.setattr(dynamics, "_tile_bounds", leave_a_gap)
+    evo = _tiled_against_one_eigh(0.4, 2.0, 1.0, 200.0)
+    assert len(evo._tiles) == 1
+
+
+def test_modes_mixed_across_tiles_widen_the_margin(monkeypatch):
+    # gap 2 at bias 0 puts levels m and m - 2 at the same energy m - 1; a
+    # weak coupling lets neighbouring tiles mix such a pair differently, so
+    # their kept modes overlap and the traces drift in norm.  The overlap
+    # check widens the margin until no kept modes overlap.
+    qubit, coupling, mean = QubitSpec(2.0, 0.0), 1e-7, 100.0
+    n_max, n_min = adequate_n_max(mean, coupling), adequate_n_min(mean, coupling)
+    initial = JointState.from_product(
+        QubitState.down(), coherent_state(math.sqrt(mean), n_max, n_min), n_max, n_min
+    )
+    monkeypatch.setattr(dynamics, "_OVERLAP_TOL", math.inf)
+    mixed = SpectralEvolution(qubit, CavityCoupling(coupling, n_max, n_min))
+    assert dynamics._cross_tile_overlap(mixed._tiles) > 1e-3
+    with pytest.raises(NormDriftError):
+        mixed.traces(initial, TimeGrid(0.0, 60.0, 241))
+    monkeypatch.undo()
+    evo = _tiled_against_one_eigh(2.0, 0.0, coupling, mean)
+    assert evo._margin > mixed._margin
+
+
 def test_truncation_guard_rejects_bottom_weight():
     cavity = CavityCoupling(0.1, 60, 20)
     evo = SpectralEvolution(QubitSpec(0.4, 2.0), cavity)

@@ -41,7 +41,6 @@ from lzsim import (
     exact_splitting,
     fit_amplitude_shift,
     fock_state,
-    grwa_energy,
     grwa_state,
     jc_splitting,
     predicted_shift,
@@ -49,7 +48,6 @@ from lzsim import (
     rabi_freq_quantum,
     rabi_freq_semiclassical,
     rabi_freq_weak_semiclassical,
-    semiclassical_hamiltonian,
 )
 from lzsim.models import require_dense_memory
 from lzsim.specfun import (
@@ -119,8 +117,6 @@ TABLE = [
           ("coupling", REAL, (-0.1,)), ("n_max", INT, (0,)), ("n_min", INT, (-1, 10))),
     *rows(JointState, dict(amplitudes=np.eye(22)[0], n_max=10, n_min=0),
           ("n_max", INT, (0,)), ("n_min", INT, (-1, 10))),
-    *rows(semiclassical_hamiltonian, dict(qubit=Q0, drive=SemiclassicalDrive(1.0), t=0.5),
-          ("t", REAL)),
     *rows(adequate_n_max, dict(mean_occupation=10.0, coupling=0.1),
           ("mean_occupation", REAL, (-1.0,), "mean occupation"), ("coupling", REAL, (-0.1,))),
     *rows(adequate_n_min, dict(mean_occupation=10.0, coupling=0.1),
@@ -130,7 +126,6 @@ TABLE = [
     *rows(coherent_state, dict(alpha=1.0, n_max=40, n_min=0),
           ("alpha", REAL, (-1.0,)), ("n_max", INT, (0,)), ("n_min", INT, (-1, 40))),
     *rows(grwa_state, dict(branch=Branch.UP, m=2, cavity=CAV), ("m", INT, (-1, 11))),
-    *rows(grwa_energy, dict(branch=Branch.UP, m=2, qubit=Q0, cavity=CAV), ("m", INT, (-1,))),
     *rows(require_dense_memory, dict(dim=10), ("dim", INT, (0,))),
     # spectra
     *rows(rabi_freq_weak_semiclassical, dict(qubit=Q0, amplitude=0.3),

@@ -22,12 +22,9 @@ from lzsim import (
     coherent_state,
     exact_splitting,
     fock_state,
-    grwa_energy,
     grwa_state,
     mixing_angle,
-    qubit_energy,
     rabi_hamiltonian,
-    semiclassical_hamiltonian,
 )
 from lzsim.models import _displaced_fock_column
 from lzsim.specfun import displaced_fock_overlap
@@ -75,21 +72,15 @@ def test_cavity_validation():
 
 def test_mixing_angle_and_energy():
     q = QubitSpec(gap=3.0, bias=4.0)
-    assert qubit_energy(q) == pytest.approx(5.0, rel=1e-15)
+    # uncoupled, each Fock level holds the bare qubit pair m -/+ sqrt(gap^2 + bias^2)/2
+    energies = np.linalg.eigh(rabi_hamiltonian(q, CavityCoupling(0.0, 3)))[0]
+    expected = sorted(m + s * 2.5 for m in range(4) for s in (-1.0, 1.0))
+    assert energies == pytest.approx(expected, abs=1e-14)
     assert mixing_angle(q) == pytest.approx(math.atan2(4.0, 3.0), rel=1e-15)
     assert mixing_angle(QubitSpec(gap=1.0, bias=0.0)) == 0.0
 
 
 # ------------------------------------------------------------ Hamiltonians
-
-
-def test_semiclassical_hamiltonian_entries():
-    q = QubitSpec(gap=0.3, bias=1.1)
-    d = SemiclassicalDrive(2.0, phase=0.4)
-    t = 0.7
-    z = 0.5 * (1.1 + 2.0 * math.cos(t + 0.4))
-    h = semiclassical_hamiltonian(q, d, t)
-    assert h == pytest.approx(np.array([[-z, -0.15], [-0.15, z]]), rel=1e-15)
 
 
 def test_rabi_hamiltonian_structure():
@@ -328,24 +319,15 @@ def test_grwa_state_truncation_guard():
         grwa_state(Branch.UP, 51, CavityCoupling(0.1, 50))
 
 
-def test_grwa_energy_values():
-    q = QubitSpec(gap=0.01, bias=2.0)
-    cav = CavityCoupling(0.5, 30)
-    # displaced-oscillator ladder: -/+ bias/2 + m - coupling^2
-    assert grwa_energy(Branch.UP, 3, q, cav) == pytest.approx(-1.0 + 3.0 - 0.25)
-    assert grwa_energy(Branch.DOWN, 0, q, cav) == pytest.approx(1.0 - 0.25)
-    with pytest.raises(ValueError):
-        grwa_energy(Branch.UP, -1, q, cav)
-
-
 def test_grwa_energy_matches_spectrum_at_zero_gap():
-    # with gap = 0 the displaced ladder is exact; compare against eigh
+    # with gap = 0 the displaced-oscillator ladder m - c^2 -/+ bias/2 (minus
+    # for the up branch) is exact; compare against eigh
     q = QubitSpec(gap=0.0, bias=0.8)
     cav = CavityCoupling(0.3, 120)
     energies = np.linalg.eigh(rabi_hamiltonian(q, cav))[0]
-    for branch in (Branch.UP, Branch.DOWN):
+    for sign in (-1.0, 1.0):
         for m in range(4):
-            target = grwa_energy(branch, m, q, cav)
+            target = m - 0.3**2 + sign * 0.5 * 0.8
             assert np.min(np.abs(energies - target)) < 1e-9
 
 
@@ -450,14 +432,21 @@ def test_dense_memory_guard_raises_before_allocating(monkeypatch):
 
     monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 4 * 10**6)
     qubit = QubitSpec(0.4, 2.0)
-    # 8 * (5 * 2002^2 + 6 * 2002) bytes
-    with pytest.raises(ResourceLimitError, match="dimension 2002 needs about 160416256 bytes"):
-        SpectralEvolution(qubit, CavityCoupling(0.1, 1000))
     # exact_splitting counts its doublet window: 2 x 231 levels need 8.6 MB
     with pytest.raises(ResourceLimitError, match="4000000 bytes of physical memory"):
         exact_splitting(qubit, CavityCoupling(1.0, adequate_n_max(300, 1.0)), 300, 2)
-    # the window is what is counted: 2 x 180 levels need 5.2 MB, 2 x 150 need 3.6 MB
-    with pytest.raises(ResourceLimitError, match="dimension 360"):
+    # SpectralEvolution counts its largest tile (105 levels at margin 35), the
+    # kept modes and the sample buffers of traces: 8 * (5 * 210^2 + 6 * 210
+    # + 210 * 2002 + 512 * (6 * 210 + 3 * 2002)) bytes on the full basis
+    monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 115 * 10**5)
+    with pytest.raises(
+        ResourceLimitError,
+        match="tiles of dimension 210 on a window of dimension 2002 "
+        "needs about 34898976 bytes",
+    ):
+        SpectralEvolution(qubit, CavityCoupling(0.1, 1000))
+    # the window is what is counted: 2 x 180 levels need 12.0 MB, 2 x 150 need 11.1 MB
+    with pytest.raises(ResourceLimitError, match="window of dimension 360"):
         SpectralEvolution(qubit, CavityCoupling(0.1, 999, 820))
     SpectralEvolution(qubit, CavityCoupling(0.1, 999, 850))
 
