@@ -22,26 +22,24 @@ class OutputTable:
 
     def __post_init__(self):
         object.__setattr__(self, "header", tuple(str(h) for h in self.header))
-        object.__setattr__(self, "rows", tuple(tuple(float(v) for v in r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(tuple(map(float, r)) for r in self.rows))
         width = len(self.header)
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} fields, header has {width}")
 
 
-def _format_cell(value: float) -> str:
-    # 17 significant digits: enough to round-trip a double exactly
-    return format(value, ".17g")
-
-
 def write_csv(table: OutputTable, stream) -> None:
-    """Metadata as '# key = value' comment lines, then header and rows."""
+    """Metadata as '# key = value' comment lines, then header and rows.
+
+    Each row is one '%.17g,...' template applied to its tuple (17 significant
+    digits round-trip a double exactly); rows are streamed, not joined.
+    """
     for key, value in table.metadata.items():
         stream.write(f"# {key} = {value}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(table.header)
-    for row in table.rows:
-        writer.writerow(_format_cell(v) for v in row)
+    csv.writer(stream, lineterminator="\n").writerow(table.header)
+    template = ",".join(["%.17g"] * len(table.header)) + "\n"
+    stream.writelines(template % row for row in table.rows)
 
 
 def write_json(table: OutputTable, stream) -> None:

@@ -34,6 +34,8 @@ from .models import (
     require_dense_memory,
 )
 from .specfun import (
+    MAX_BESSEL_ORDER,
+    _bessel_column,
     bessel_j,
     displaced_fock_overlap,
     displaced_fock_overlap_grid,
@@ -304,20 +306,29 @@ def bessel_laguerre_identity_error_grid(
 
     errors[i][j][l] is the error at (xs[i], ns[j], ks[l]); values may come in
     any order and repeat.  One Laguerre pass per distinct (x, k) serves every
-    n, and each error equals the scalar function's bit for bit.  Every x, n
-    and k, and the largest n + k against MAX_OVERLAP_INDEX, is checked before
-    any recurrence or Bessel call.
+    n, the Bessel side of that column is one _bessel_column, and each error
+    equals the scalar function's bit for bit.  Every x, n and k, and the
+    largest n + k against MAX_OVERLAP_INDEX, the largest k against
+    MAX_BESSEL_ORDER and the largest Bessel argument, is checked before any
+    recurrence or Bessel call.
     """
     xs = [require_real("x", x, 0.0) for x in xs]
     ns = [require_int("n", n) for n in ns]
     ks = [require_int("k", k) for k in ks]
     require_overlap_index(max(ns, default=0), max(ks, default=0))
+    # the bounds the scalar bessel_j checks per cell; its argument grows with x and n
+    require_int("k", max(ks, default=0), 0, MAX_BESSEL_ORDER)
+    require_real("4 x sqrt(n)", 4.0 * max(xs, default=0.0) * math.sqrt(max(ns, default=0)), 0.0)
+    roots = np.sqrt(np.array(ns, dtype=float))
     errors = []
     for x in xs:
+        args = 4.0 * x * roots
         columns = {}
         for k in dict.fromkeys(ks):
-            rhs = displaced_fock_overlap_grid(ns, k, 2.0 * x)
-            columns[k] = [_identity_error(x, n, k, r) for n, r in zip(ns, rhs)]
+            lhs = _bessel_column(k, args)
+            rhs = np.array(displaced_fock_overlap_grid(ns, k, 2.0 * x))
+            # the scalar _identity_error's IEEE operations, lane by lane
+            columns[k] = (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-3)).tolist()
         errors.append([[columns[k][j] for k in ks] for j in range(len(ns))])
     return errors
 

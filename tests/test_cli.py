@@ -19,7 +19,7 @@ from lzsim.config import (
     read_config_file,
     resolve,
 )
-from lzsim.output import OutputTable, write_table
+from lzsim.output import OutputTable, write_csv, write_table
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +225,33 @@ def test_write_csv_and_json_round_trip(tmp_path):
     assert doc["rows"][0][1] is None  # non-finite cells become null
     assert doc["rows"][1] == [2.0, -3.5]
     assert doc["metadata"]["note"] == "hi"
+
+
+def legacy_write_csv(table, stream):
+    """The cell-by-cell csv.writer path the row template replaced."""
+    for key, value in table.metadata.items():
+        stream.write(f"# {key} = {value}\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(table.header)
+    for row in table.rows:
+        writer.writerow(format(v, ".17g") for v in row)
+
+
+@pytest.mark.parametrize("width", [1, 3, 9])
+def test_csv_rows_are_byte_identical_to_the_cell_by_cell_writer(width):
+    cells = [
+        math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+        1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, -2.5e-17,
+        3.0, 1000.0, 1e16, 2.0**53 + 2.0, 123456789.0, -7.0,
+    ]
+    flat = cells * width
+    rows = [tuple(flat[i : i + width]) for i in range(0, len(flat), width)]
+    rows.append(tuple(float(i) for i in range(width)))  # integers stored as floats
+    table = OutputTable(tuple(f"c{i}" for i in range(width)), rows, {"command": "demo"})
+    got, want = io.StringIO(), io.StringIO()
+    write_csv(table, got)
+    legacy_write_csv(table, want)
+    assert got.getvalue() == want.getvalue()
 
 
 # ----------------------------------------------------------- CLI end-to-end
@@ -445,9 +472,34 @@ def test_identity_sweep_refuses_its_last_column_before_any_work(capsys, monkeypa
 
     monkeypatch.setattr("lzsim.specfun._laguerre_scaled_pass", no_work)
     monkeypatch.setattr("lzsim.spectra.bessel_j", no_work)
+    monkeypatch.setattr("lzsim.spectra._bessel_column", no_work)
     code, out, err = run_cli(capsys, "identity-sweep", "x=0.1", "n=0:1000000:1", "k=0:1:1")
     assert code == 2 and out == ""
     assert "n+k=1000001 above supported range 1000000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (("identity-sweep", "x=0.01:0.1:0.01", "n=0:99:1", "k=0:2:1"), 3000),
+        (("bessel-approx", "x=1:100:1", "k=0:19:1"), 2000),
+    ],
+)
+def test_product_grids_refuse_a_table_beyond_memory_before_any_cell(capsys, monkeypatch, argv, rows):
+    # a 100 kB memory reading stands in for a grid of 1e10 or more rows
+    import lzsim.cli
+    import lzsim.models
+
+    def no_work(*args):
+        raise AssertionError(f"a cell was computed before the memory check: {args[:2]}")
+
+    monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 10**5)
+    for name in ("bessel_laguerre_identity_error_grid", "bessel_j", "bessel_j_asymptotic"):
+        monkeypatch.setattr(lzsim.cli, name, no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"lzsim: numerical failure: {argv[0]} table of {rows} rows needs about" in err
+    assert "more than the 100000 bytes of physical memory" in err
 
 
 def test_config_file_with_unknown_format(tmp_path, capsys):

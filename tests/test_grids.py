@@ -1,8 +1,9 @@
 """The grid paths against the per-cell paths they replace, bit for bit.
 
-One Laguerre recurrence now serves every degree of a (k, x) column.  Each
-grid value must equal the per-cell value exactly, the sign of a zero
-included, so these tests compare with `==` and never with a tolerance.
+One Laguerre recurrence now serves every degree of a (k, x) column, and one
+numpy pass per Bessel regime every x of a column.  Each grid value must
+equal the per-cell value exactly, the sign of a zero included, so these
+tests compare with `==` and never with a tolerance.
 """
 
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from lzsim import (
     QubitSpec,
     assoc_laguerre_scaled,
+    bessel_j,
     bessel_laguerre_identity_error,
     comparison_grid,
     displaced_fock_overlap,
@@ -22,7 +24,13 @@ from lzsim import (
     rabi_freq_quantum,
     rabi_freq_semiclassical,
 )
-from lzsim.specfun import _laguerre_scaled_pass, displaced_fock_overlap_grid
+from lzsim import specfun
+from lzsim.specfun import (
+    MAX_BESSEL_ORDER,
+    _bessel_column,
+    _laguerre_scaled_pass,
+    displaced_fock_overlap_grid,
+)
 from lzsim.spectra import bessel_laguerre_identity_error_grid
 
 _RESCALE = 1e250
@@ -86,6 +94,127 @@ def test_overlap_grid_over_unsorted_repeated_n_equals_each_cell(ns, k, d):
     got = displaced_fock_overlap_grid(ns, k, d)
     assert len(got) == len(ns)
     assert all(identical(g, displaced_fock_overlap(n, k, d)) for g, n in zip(got, ns))
+
+
+# ------------------------------------------------------------ the Bessel column
+
+
+def assert_column_equals_scalar(k, xs):
+    got = _bessel_column(k, xs)
+    assert got.shape == (len(xs),)
+    bad = [(x, g, bessel_j(k, x)) for x, g in zip(xs, got.tolist())
+           if not identical(g, bessel_j(k, x))]
+    assert not bad, f"k={k}: (x, column, scalar) {bad[:3]}"
+
+
+def numpy_lanes(monkeypatch):
+    """Force the numpy pass whatever the lane count."""
+    monkeypatch.setattr(specfun, "_MIN_LANES", 1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_column_at_zero_and_subnormal_x(monkeypatch, k):
+    numpy_lanes(monkeypatch)
+    # 5e-324 halves to 0.0: the scalar returns J_k(0) there, not a series sum
+    assert_column_equals_scalar(k, [0.0, 5e-324, 1e-323, 2.2e-308, 1e-300, 0.0, 3.0])
+
+
+@pytest.mark.parametrize("k", [0, 2, 31, 200])
+def test_column_across_the_regime_edges(monkeypatch, k):
+    numpy_lanes(monkeypatch)
+    edge = math.sqrt(2.0 * (k + 1))  # x * x == 2(k + 1): the series rule's second bound
+    near = [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    xs = [math.nextafter(8.0, 0.0), 8.0, math.nextafter(8.0, 9.0)] + near
+    xs += [edge * f for f in (0.5, 0.99, 1.01, 1.5, 3.0)]
+    assert_column_equals_scalar(k, xs)
+
+
+def test_column_flushes_large_orders_to_signed_zero(monkeypatch):
+    # k = 10000 at small x: the log-space leading term falls below e^-745
+    numpy_lanes(monkeypatch)
+    xs = [1e-3 * i for i in range(1, 200)] + [1.0, 7.5, 50.0, 141.0]
+    assert_column_equals_scalar(MAX_BESSEL_ORDER, xs)
+    assert all(v == 0.0 for v in _bessel_column(MAX_BESSEL_ORDER, xs[:199]).tolist())
+
+
+@pytest.mark.parametrize("k, lo, hi", [(200, 20.06, 30.0), (1000, 45.0, 300.0), (200, 140.0, 160.0)])
+def test_column_through_the_miller_rescale(monkeypatch, k, lo, hi):
+    # just above x = sqrt(2(k+1)) the trial values pass 1e250 and are rescaled
+    numpy_lanes(monkeypatch)
+    xs = [lo + (hi - lo) * i / 149 for i in range(150)]
+    assert_column_equals_scalar(k, xs)
+
+
+def test_the_first_rescale_case_passes_the_rescale_threshold():
+    # so the test above runs the per-lane rescale mask, not only its no-op
+    two_over_x, above, cur, m = 2.0 / 20.06, 0.0, 1.0, specfun._miller_start(200, 20.06)
+    while m >= 1 and abs(cur) <= specfun._RESCALE:
+        above, cur, m = cur, m * two_over_x * cur - above, m - 1
+    assert m >= 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=200),
+    xs=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 8.0, 12.5]),
+            st.floats(min_value=0.0, max_value=8.0),
+            st.floats(min_value=0.0, max_value=300.0),
+        ),
+        min_size=1, max_size=40,
+    ),
+    repeat=st.integers(min_value=1, max_value=6),
+)
+def test_column_mixing_regimes_with_repeated_unsorted_x(k, xs, repeat):
+    # zero, series and Miller lanes in one column, in the order given
+    # (hypothesis runs many examples per test: no function-scoped monkeypatch)
+    saved = specfun._MIN_LANES
+    try:
+        specfun._MIN_LANES = 1
+        assert_column_equals_scalar(k, xs * repeat)
+    finally:
+        specfun._MIN_LANES = saved
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_columns_at_the_short_column_threshold(monkeypatch, offset):
+    # one lane below the threshold each regime calls the scalar routine; at
+    # it, the numpy pass runs
+    lanes = specfun._MIN_LANES + offset
+    calls = {"series": 0, "miller": 0}
+
+    def counting(name, routine):
+        def wrapped(k, x):
+            calls[name] += 1
+            return routine(k, x)
+        return wrapped
+
+    monkeypatch.setattr(specfun, "_bessel_series", counting("series", specfun._bessel_series))
+    monkeypatch.setattr(specfun, "_bessel_miller", counting("miller", specfun._bessel_miller))
+    xs = [0.05 * (i + 1) for i in range(lanes)] + [9.0 + 0.01 * i for i in range(lanes)]
+    got = _bessel_column(3, xs).tolist()
+    monkeypatch.undo()
+    assert all(identical(g, bessel_j(3, x)) for g, x in zip(got, xs))
+    want = lanes if offset < 0 else 0
+    assert calls == {"series": want, "miller": want}
+
+
+def test_column_sends_an_outlying_miller_start_to_the_scalar_routine(monkeypatch):
+    # one lane at x = 20000 would hold the numpy pass for 20,000 rows
+    calls = []
+
+    def counting(k, x):
+        calls.append(x)
+        return scalar_miller(k, x)
+
+    scalar_miller = specfun._bessel_miller
+    monkeypatch.setattr(specfun, "_bessel_miller", counting)
+    xs = [9.0 + 0.05 * i for i in range(400)] + [20000.0]
+    got = _bessel_column(1, xs).tolist()
+    monkeypatch.undo()
+    assert calls == [20000.0]
+    assert all(identical(g, bessel_j(1, x)) for g, x in zip(got, xs))
 
 
 # ----------------------------------------------------------------- overlaps
@@ -167,6 +296,7 @@ def _refuse_work(monkeypatch):
 
     monkeypatch.setattr("lzsim.specfun._laguerre_scaled_pass", no_work)
     monkeypatch.setattr("lzsim.spectra.bessel_j", no_work)
+    monkeypatch.setattr("lzsim.spectra._bessel_column", no_work)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
@@ -194,3 +324,12 @@ def test_grids_refuse_an_index_past_the_bound_before_any_work(monkeypatch):
     # n = 10**6 is in range at k = 0, so only checking the whole grid refuses
     with pytest.raises(ValueError, match="above supported range"):
         bessel_laguerre_identity_error_grid([0.1], [0, 10**6], [0, 1])
+
+
+def test_identity_grid_checks_the_bessel_side_before_any_work(monkeypatch):
+    _refuse_work(monkeypatch)
+    with pytest.raises(ValueError, match="got k=10001"):
+        bessel_laguerre_identity_error_grid([0.1], [3], [1, MAX_BESSEL_ORDER + 1])
+    # 4 x sqrt(n) overflows although x, n and 2x are all finite
+    with pytest.raises(ValueError, match=r"got 4 x sqrt\(n\)=inf"):
+        bessel_laguerre_identity_error_grid([0.1, 1e308], [0, 4], [0])
