@@ -21,7 +21,6 @@ from .models import (
     CavityCoupling,
     QubitState,
     JointState,
-    mixing_angle,
     rabi_hamiltonian,
     adequate_n_max,
     adequate_n_min,
@@ -41,8 +40,6 @@ from .specfun import (
 from .spectra import (
     ComparisonRow,
     ShiftFitResult,
-    rabi_freq_weak_semiclassical,
-    jc_splitting,
     rabi_freq_semiclassical,
     rabi_freq_quantum,
     equivalent_amplitude,
@@ -109,12 +106,9 @@ __all__ = [
     "fit_amplitude_shift",
     "fock_state",
     "grwa_state",
-    "jc_splitting",
-    "mixing_angle",
     "predicted_shift",
     "propagate_semiclassical",
     "rabi_freq_quantum",
     "rabi_freq_semiclassical",
-    "rabi_freq_weak_semiclassical",
     "rabi_hamiltonian",
 ]

@@ -21,7 +21,11 @@ The quantized model has no time dependence, so it is diagonalized once and
 states evolve by exact phase rotation in the eigenbasis.  Its eigenmodes are
 localized along the Fock ladder, so the diagonalization runs on overlapping
 tiles of a few dozen levels, each keeping the modes centred in its core,
-rather than on the whole window at once.
+rather than on the whole window at once.  The sample grid is uniform, so
+a mode's phase exp(-i E t) at the r-th sample after a block start t_b is
+the product of a block factor exp(-i E t_b), one exp per block of samples,
+and an in-block factor exp(-i E r dt) from one table per call: one complex
+product per mode and sample instead of one exp.
 """
 
 from __future__ import annotations
@@ -70,6 +74,9 @@ _WEIGHT_A = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _WEIGHT_B = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
 
 _SAMPLE_CHUNK = 512
+# samples per block of SpectralEvolution.traces' phase tables; divides
+# _SAMPLE_CHUNK so that every chunk starts a block
+_PHASE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -332,13 +339,17 @@ def _require_tile_memory(levels: int, tile_levels: int) -> None:
 
     The estimate, in doubles, counts the largest tile's dense eigh (5 T^2
     + 6 T at tile dimension T, see require_dense_memory), the kept modes
-    (each of the window's 2L modes stored on at most T rows) and the sample
-    chunk buffers of traces (per sample, about 6 T for the phase factors and
+    (each of the window's 2L modes stored on at most T rows), the in-block
+    phase tables of traces (_PHASE_BLOCK complex values per mode) and its
+    sample chunk buffers (per sample, about 6 T for the phase factors and
     tile products and 6 L for the window's real and imaginary parts and
     densities).
     """
     tile, dim = 2 * tile_levels, 2 * levels
-    need = 8 * (5 * tile * tile + 6 * tile + tile * dim + _SAMPLE_CHUNK * (6 * tile + 3 * dim))
+    need = 8 * (
+        5 * tile * tile + 6 * tile + tile * dim + 2 * _PHASE_BLOCK * dim
+        + _SAMPLE_CHUNK * (6 * tile + 3 * dim)
+    )
     _require_memory(
         need, f"diagonalising Fock tiles of dimension {tile} on a window of dimension {dim}"
     )
@@ -362,6 +373,19 @@ def _cross_tile_overlap(tiles) -> float:
     return worst
 
 
+def _sample_phases(energies, coeff, starts, in_block, samples):
+    """coeff exp(-i E t) at `samples` uniform samples, shape (modes, samples).
+
+    Block b of the samples starts at time starts[b]; in_block[:, r] is
+    exp(-i E r dt).  Each block-start sample gets exactly
+    exp(-i E t) coeff, and every other one the product of its block's factor
+    and its in-block factor.  The last block is trimmed to `samples`.
+    """
+    head = np.exp(np.outer(energies, -1j * starts)) * coeff[:, None]
+    rot = head[:, :, None] * in_block[:, None, :]
+    return rot.reshape(energies.size, starts.size * in_block.shape[1])[:, :samples]
+
+
 class SpectralEvolution:
     """Diagonalize-once evolution of the coupled qubit-oscillator model.
 
@@ -369,7 +393,12 @@ class SpectralEvolution:
     diagonalized at construction, tile by tile along the Fock ladder; traces
     for any number of initial states and grids then cost one pair of real
     matrix products per tile and batch of samples, and unitarity is exact up
-    to rounding because evolution is a pure phase rotation.
+    to rounding because evolution is a pure phase rotation.  The phases come
+    from two small tables per tile: exp(-i E t) at the first sample of each
+    block of 32 (with the mode's initial coefficient folded in), and
+    exp(-i E r dt) for the offsets r = 0..31 within a block, built once per
+    call.  Each sample's phase is one complex product of the two, and at
+    block starts it equals the direct exp(-i E t).
 
     Every eigenmode is localized on a few dozen levels around its centre
     sum_m m |v_m|^2.  The window is covered by cores of M levels, first
@@ -480,13 +509,18 @@ class SpectralEvolution:
         root = np.sqrt(np.arange(self.cavity.n_min + 1, self.cavity.n_max + 1))
         p = np.empty(times.size)
         x = np.empty(times.size) if quadrature else None
+        # linspace's own step, so that t0 + r dt is sample r up to rounding
+        dt = (grid.t1 - grid.t0) / (grid.samples - 1)
+        offsets = -1j * (dt * np.arange(_PHASE_BLOCK))
+        in_block = [np.exp(np.outer(energies, offsets)) for _, energies, _ in self._tiles]
 
         for lo in range(0, times.size, _SAMPLE_CHUNK):
             t = times[lo : lo + _SAMPLE_CHUNK]
             re = np.zeros((2, levels, t.size))
             im = np.zeros((2, levels, t.size))
-            for (start, energies, modes), coeff in zip(self._tiles, coeffs):
-                rot = np.exp(np.outer(energies, -1j * t)) * coeff[:, None]
+            starts = t[::_PHASE_BLOCK]
+            for (start, energies, modes), coeff, table in zip(self._tiles, coeffs, in_block):
+                rot = _sample_phases(energies, coeff, starts, table, t.size)
                 rows = slice(start, start + modes.shape[0] // 2)
                 # keep the eigenvector matrix real (two real products instead
                 # of one complex product against an upcast copy); the

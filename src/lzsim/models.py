@@ -107,11 +107,6 @@ def _window(n_min, n_max) -> tuple[int, int]:
     return require_int("n_min", n_min, 0, n_max - 1), n_max
 
 
-def mixing_angle(qubit: QubitSpec) -> float:
-    """theta = atan2(bias, gap), in [0, pi/2) for gap > 0."""
-    return math.atan2(qubit.bias, qubit.gap)
-
-
 def rabi_hamiltonian(qubit: QubitSpec, cavity: CavityCoupling) -> np.ndarray:
     """Dense real-symmetric qubit-oscillator Hamiltonian on the joint basis.
 

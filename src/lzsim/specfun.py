@@ -363,6 +363,15 @@ def displaced_fock_overlap_grid(ns: Iterable[int], k: int, d: float) -> list[flo
     k = require_int("k", k)
     d = require_real("d", d, 0.0)
     require_overlap_index(max(ns, default=0), k)
+    return _overlap_grid(ns, k, d)
+
+
+def _overlap_grid(ns: list[int], k: int, d: float) -> list[float]:
+    """displaced_fock_overlap_grid on input its caller has checked.
+
+    Every n and k must be an int >= 0 with n + k <= MAX_OVERLAP_INDEX, and
+    d a finite real >= 0.
+    """
     if d == 0.0:
         return [1.0 if k == 0 else 0.0] * len(ns)
     laguerre = _laguerre_scaled_pass(ns, k, d * d)

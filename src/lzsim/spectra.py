@@ -29,13 +29,13 @@ from .models import (
     CavityCoupling,
     QubitSpec,
     grwa_state,
-    mixing_angle,
     rabi_hamiltonian,
     require_dense_memory,
 )
 from .specfun import (
     MAX_BESSEL_ORDER,
     _bessel_column,
+    _overlap_grid,
     bessel_j,
     displaced_fock_overlap,
     displaced_fock_overlap_grid,
@@ -45,19 +45,6 @@ from .specfun import (
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # the doublet weight exact_splitting's window may leave out on either side
 _WINDOW_TAIL = 1e-16
-
-
-def rabi_freq_weak_semiclassical(qubit: QubitSpec, amplitude: float) -> float:
-    """Weak-drive resonant Rabi frequency (amplitude/2) cos(theta)."""
-    amplitude = require_real("amplitude", amplitude, 0.0)
-    return 0.5 * amplitude * math.cos(mixing_angle(qubit))
-
-
-def jc_splitting(n: int, qubit: QubitSpec, coupling: float) -> float:
-    """Resonant one-photon splitting 2 c cos(theta) sqrt(n), n >= 1."""
-    n = require_int("n", n, 1)
-    coupling = require_real("coupling", coupling, 0.0)
-    return 2.0 * coupling * math.cos(mixing_angle(qubit)) * math.sqrt(n)
 
 
 def rabi_freq_semiclassical(qubit: QubitSpec, amplitude: float, k: int) -> float:
@@ -326,7 +313,8 @@ def bessel_laguerre_identity_error_grid(
         columns = {}
         for k in dict.fromkeys(ks):
             lhs = _bessel_column(k, args)
-            rhs = np.array(displaced_fock_overlap_grid(ns, k, 2.0 * x))
+            # ns and ks were checked above, and 2 x is finite because 4 x is
+            rhs = np.array(_overlap_grid(ns, k, 2.0 * x))
             # the scalar _identity_error's IEEE operations, lane by lane
             columns[k] = (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-3)).tolist()
         errors.append([[columns[k][j] for k in ks] for j in range(len(ns))])

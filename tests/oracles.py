@@ -39,6 +39,12 @@ def log_factorial_ratio_ref(n: int, k: int) -> float:
     return float(0.5 * (mp.loggamma(n + 1) - mp.loggamma(n + k + 1)))
 
 
+def phase_ref(energy: float, t0: float, dt: float, j: int) -> complex:
+    """exp(-i E (t0 + j dt)) at 40 digits, taking E, t0 and dt as exact."""
+    with mp.workdps(40):
+        return complex(mp.expj(-mp.mpf(energy) * (mp.mpf(t0) + j * mp.mpf(dt))))
+
+
 def overlap_ref(n: int, k: int, d: float) -> float:
     """<n+k| exp(d (adag - a)) |n> through the closed form, at 50 digits."""
     if d == 0.0:

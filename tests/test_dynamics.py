@@ -27,12 +27,13 @@ from lzsim import (
     dominant_frequency,
     estimate_decay_time,
     fock_state,
-    jc_splitting,
     propagate_semiclassical,
     rabi_hamiltonian,
 )
 from lzsim import dynamics
-from lzsim.dynamics import _cf4_step_matrices
+from lzsim.dynamics import _PHASE_BLOCK, _cf4_step_matrices, _sample_phases
+
+import oracles
 
 
 def _step_product(qubit, drive, t_start, h, count):
@@ -585,6 +586,96 @@ def test_modes_mixed_across_tiles_widen_the_margin(monkeypatch):
     assert evo._margin > mixed._margin
 
 
+def _direct_phase_traces(evo, initial, grid):
+    """p_down and x_mean with one exp(-i E t) per mode and sample.
+
+    The synthesis traces ran before it built phases from block and in-block
+    tables; same tiles, same chunks, same products.
+    """
+    coeffs = evo._prepare(initial)
+    times = grid.times()
+    levels = evo.cavity.levels
+    root = np.sqrt(np.arange(evo.cavity.n_min + 1, evo.cavity.n_max + 1))
+    p, x = np.empty(times.size), np.empty(times.size)
+    for lo in range(0, times.size, dynamics._SAMPLE_CHUNK):
+        t = times[lo : lo + dynamics._SAMPLE_CHUNK]
+        re = np.zeros((2, levels, t.size))
+        im = np.zeros((2, levels, t.size))
+        for (start, energies, modes), coeff in zip(evo._tiles, coeffs):
+            rot = np.exp(np.outer(energies, -1j * t)) * coeff[:, None]
+            rows = slice(start, start + modes.shape[0] // 2)
+            re[:, rows] += (modes @ np.ascontiguousarray(rot.real)).reshape(2, -1, t.size)
+            im[:, rows] += (modes @ np.ascontiguousarray(rot.imag)).reshape(2, -1, t.size)
+        re = re.reshape(2 * levels, t.size)
+        im = im.reshape(2 * levels, t.size)
+        p[lo : lo + t.size] = (re * re + im * im)[levels:].sum(axis=0)
+        cross = np.zeros(t.size)
+        for block in (slice(0, levels), slice(levels, 2 * levels)):
+            rb, ib = re[block], im[block]
+            cross += root @ (rb[:-1] * rb[1:] + ib[:-1] * ib[1:])
+        x[lo : lo + t.size] = cross
+    return np.clip(p, 0.0, 1.0), x
+
+
+def _assert_phases_match_direct(evo, initial, grid, quadrature):
+    pop, quad = evo.traces(initial, grid, quadrature=quadrature)
+    p, x = _direct_phase_traces(evo, initial, grid)
+    scale = max(float(np.max(np.abs(energies), initial=0.0)) for _, energies, _ in evo._tiles)
+    tol = 8.0 * np.finfo(float).eps * scale * max(abs(grid.t0), abs(grid.t1)) + 1e-14
+    assert np.max(np.abs(pop.p_down - p)) <= tol
+    if quadrature:
+        assert np.max(np.abs(quad.x_mean - x)) <= tol
+    else:
+        assert quad is None
+    # the first sample of every block is a block factor alone: no rounding moves it
+    assert np.array_equal(pop.p_down[::_PHASE_BLOCK], p[::_PHASE_BLOCK])
+
+
+# 2 and 33 end in a partly filled block, 513 in a one-sample chunk, 2000 in a
+# 464-sample chunk whose last block holds 16 samples
+@pytest.mark.parametrize("samples", [2, 33, 513, 2000])
+@pytest.mark.parametrize("quadrature", [False, True])
+def test_factorised_phases_match_one_exp_per_sample(mean1000_evolution, samples, quadrature):
+    evo, initial = mean1000_evolution
+    _assert_phases_match_direct(evo, initial, TimeGrid(37.5, 222.5, samples), quadrature)
+
+
+def test_factorised_phases_with_a_tile_that_keeps_no_mode():
+    mean, coupling = 1000.0, 0.3
+    n_max, n_min = adequate_n_max(mean, coupling), adequate_n_min(mean, coupling)
+    evo = SpectralEvolution(QubitSpec(0.4, 20.5), CavityCoupling(coupling, n_max, n_min))
+    assert min(energies.size for _, energies, _ in evo._tiles) == 0
+    initial = JointState.from_product(
+        QubitState.down(), coherent_state(math.sqrt(mean), n_max, n_min), n_max, n_min
+    )
+    _assert_phases_match_direct(evo, initial, TimeGrid(-20.0, 45.0, 513), True)
+
+
+def test_factorised_and_direct_phases_are_near_exact(mean1000_evolution):
+    # both phase forms stay within 2 eps |E t| + 4 eps of the exact phase of
+    # the exact sample time t0 + j dt; the rounding of E t itself is the floor
+    evo, _ = mean1000_evolution
+    energies = np.concatenate([e for _, e, _ in evo._tiles])
+    energies = np.sort(energies)[:: energies.size // 12][:12]
+    grid = TimeGrid(37.5, 1037.5, 2000)
+    t = grid.times()
+    dt = (grid.t1 - grid.t0) / (grid.samples - 1)
+    direct = np.exp(np.outer(energies, -1j * t))
+    in_block = np.exp(np.outer(energies, -1j * (dt * np.arange(_PHASE_BLOCK))))
+    factorised = np.concatenate([
+        _sample_phases(energies, np.ones(energies.size), chunk[::_PHASE_BLOCK], in_block, chunk.size)
+        for chunk in np.split(t, range(dynamics._SAMPLE_CHUNK, t.size, dynamics._SAMPLE_CHUNK))
+    ], axis=1)
+    eps = np.finfo(float).eps
+    js = sorted(set(range(0, t.size, 7)) | {31, 32, 511, 512, t.size - 1})
+    for i, energy in enumerate(energies):
+        for j in js:
+            exact = oracles.phase_ref(energy, grid.t0, dt, j)
+            bound = 2.0 * eps * abs(energy * t[j]) + 4.0 * eps
+            assert abs(direct[i, j] - exact) <= bound
+            assert abs(factorised[i, j] - exact) <= bound
+
+
 def test_truncation_guard_rejects_bottom_weight():
     cavity = CavityCoupling(0.1, 60, 20)
     evo = SpectralEvolution(QubitSpec(0.4, 2.0), cavity)
@@ -613,8 +704,9 @@ def test_jc_dynamics_oscillates_at_the_splitting():
     n_max = 40
     h = rabi_hamiltonian(qubit, CavityCoupling(c, n_max))
     energies, modes = np.linalg.eigh(h)
+    cos_theta = math.cos(math.atan2(qubit.bias, qubit.gap))
     for n in (1, 4, 9):
-        target = jc_splitting(n, qubit, c)
+        target = 2.0 * c * cos_theta * math.sqrt(n)
         psi0 = np.kron(np.array([1.0, 1.0]) / math.sqrt(2.0), fock_state(n, n_max))
         times = np.linspace(0.0, 3.2 * 2.0 * math.pi / target, 4000)
         coeff = modes.T @ psi0

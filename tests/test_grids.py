@@ -254,6 +254,21 @@ def test_identity_grid_equals_scalar_on_the_readme_sweep():
     assert cells == 18_018
 
 
+def test_identity_grid_checks_each_photon_number_once(monkeypatch):
+    # the grid checks its n axis once; its (x, k) columns do not check it again
+    checked = []
+    require_int = specfun.require_int
+
+    def counting(name, value, *bounds):
+        checked.append(name)
+        return require_int(name, value, *bounds)
+
+    monkeypatch.setattr(specfun, "require_int", counting)
+    monkeypatch.setattr("lzsim.spectra.require_int", counting)
+    bessel_laguerre_identity_error_grid((0.01, 0.05), range(0, 101), (0, 2, 5))
+    assert checked.count("n") == 101
+
+
 def test_identity_grid_keeps_order_and_repeats():
     xs, ns, ks = (0.05, 0.01, 0.05), (7, 3, 7, 0, 900), (2, 0, 2, 5)
     errors = bessel_laguerre_identity_error_grid(xs, ns, ks)

@@ -42,12 +42,10 @@ from lzsim import (
     fit_amplitude_shift,
     fock_state,
     grwa_state,
-    jc_splitting,
     predicted_shift,
     propagate_semiclassical,
     rabi_freq_quantum,
     rabi_freq_semiclassical,
-    rabi_freq_weak_semiclassical,
 )
 from lzsim.models import require_dense_memory
 from lzsim.specfun import (
@@ -128,10 +126,6 @@ TABLE = [
     *rows(grwa_state, dict(branch=Branch.UP, m=2, cavity=CAV), ("m", INT, (-1, 11))),
     *rows(require_dense_memory, dict(dim=10), ("dim", INT, (0,))),
     # spectra
-    *rows(rabi_freq_weak_semiclassical, dict(qubit=Q0, amplitude=0.3),
-          ("amplitude", REAL, (-0.1,))),
-    *rows(jc_splitting, dict(n=1, qubit=Q0, coupling=0.01),
-          ("n", INT, (0,)), ("coupling", REAL, (-0.01,))),
     *rows(rabi_freq_semiclassical, dict(qubit=Q0, amplitude=1.0, k=0),
           ("amplitude", REAL, (-1.0,)), ("k", INT, (-1,))),
     *rows(rabi_freq_quantum, dict(qubit=Q0, coupling=0.1, n=3, k=0),

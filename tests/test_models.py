@@ -23,7 +23,6 @@ from lzsim import (
     exact_splitting,
     fock_state,
     grwa_state,
-    mixing_angle,
     rabi_hamiltonian,
 )
 from lzsim.models import _displaced_fock_column
@@ -70,14 +69,12 @@ def test_cavity_validation():
         CavityCoupling(math.inf, 10)
 
 
-def test_mixing_angle_and_energy():
+def test_uncoupled_levels_are_bare_qubit_pairs():
     q = QubitSpec(gap=3.0, bias=4.0)
     # uncoupled, each Fock level holds the bare qubit pair m -/+ sqrt(gap^2 + bias^2)/2
     energies = np.linalg.eigh(rabi_hamiltonian(q, CavityCoupling(0.0, 3)))[0]
     expected = sorted(m + s * 2.5 for m in range(4) for s in (-1.0, 1.0))
     assert energies == pytest.approx(expected, abs=1e-14)
-    assert mixing_angle(q) == pytest.approx(math.atan2(4.0, 3.0), rel=1e-15)
-    assert mixing_angle(QubitSpec(gap=1.0, bias=0.0)) == 0.0
 
 
 # ------------------------------------------------------------ Hamiltonians
@@ -436,16 +433,17 @@ def test_dense_memory_guard_raises_before_allocating(monkeypatch):
     with pytest.raises(ResourceLimitError, match="4000000 bytes of physical memory"):
         exact_splitting(qubit, CavityCoupling(1.0, adequate_n_max(300, 1.0)), 300, 2)
     # SpectralEvolution counts its largest tile (105 levels at margin 35), the
-    # kept modes and the sample buffers of traces: 8 * (5 * 210^2 + 6 * 210
-    # + 210 * 2002 + 512 * (6 * 210 + 3 * 2002)) bytes on the full basis
+    # kept modes, the in-block phase tables and the sample buffers of traces:
+    # 8 * (5 * 210^2 + 6 * 210 + 210 * 2002 + 64 * 2002 + 512 * (6 * 210
+    # + 3 * 2002)) bytes on the full basis
     monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 115 * 10**5)
     with pytest.raises(
         ResourceLimitError,
         match="tiles of dimension 210 on a window of dimension 2002 "
-        "needs about 34898976 bytes",
+        "needs about 35924000 bytes",
     ):
         SpectralEvolution(qubit, CavityCoupling(0.1, 1000))
-    # the window is what is counted: 2 x 180 levels need 12.0 MB, 2 x 150 need 11.1 MB
+    # the window is what is counted: 2 x 180 levels need 12.1 MB, 2 x 150 need 11.3 MB
     with pytest.raises(ResourceLimitError, match="window of dimension 360"):
         SpectralEvolution(qubit, CavityCoupling(0.1, 999, 820))
     SpectralEvolution(qubit, CavityCoupling(0.1, 999, 850))

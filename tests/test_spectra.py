@@ -23,34 +23,14 @@ from lzsim import (
     figure_photon_grid,
     fit_amplitude_shift,
     grwa_state,
-    jc_splitting,
     predicted_shift,
     rabi_freq_quantum,
     rabi_freq_semiclassical,
-    rabi_freq_weak_semiclassical,
     rabi_hamiltonian,
 )
 
 
 # ----------------------------------------------------- analytic frequencies
-
-
-def test_weak_semiclassical_frequency():
-    q = QubitSpec(gap=1.0, bias=0.0)
-    assert rabi_freq_weak_semiclassical(q, 0.3) == pytest.approx(0.15, rel=1e-15)
-    tilted = QubitSpec(gap=3.0, bias=4.0)
-    assert rabi_freq_weak_semiclassical(tilted, 1.0) == pytest.approx(0.3, rel=1e-14)
-    with pytest.raises(ValueError):
-        rabi_freq_weak_semiclassical(q, -0.1)
-
-
-def test_jc_splitting_values():
-    q = QubitSpec(gap=1.0, bias=0.0)
-    assert jc_splitting(4, q, 0.01) == pytest.approx(0.04, rel=1e-14)
-    with pytest.raises(ValueError):
-        jc_splitting(0, q, 0.01)
-    with pytest.raises(ValueError):
-        jc_splitting(1, q, -0.01)
 
 
 def test_semiclassical_frequency_is_signed_bessel():
@@ -99,8 +79,9 @@ def test_exact_splitting_weak_coupling_matches_jc():
     # counter-rotating corrections of a few percent
     q = QubitSpec(gap=0.01, bias=1.0)
     cav = CavityCoupling(0.01, 40)
+    cos_theta = math.cos(math.atan2(q.bias, q.gap))
     for n in (0, 3, 8):
-        target = jc_splitting(n + 1, q, 0.01)
+        target = 2.0 * 0.01 * cos_theta * math.sqrt(n + 1)
         assert exact_splitting(q, cav, n, 1) == pytest.approx(target, rel=5e-2)
 
 
