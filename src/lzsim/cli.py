@@ -67,9 +67,11 @@ def _cmd_evolve(cfg: RunConfig):
     p = cfg.parameters
     qubit = QubitSpec(gap=p["gap"], bias=p["bias"])
     grid = TimeGrid(t0=0.0, t1=p["t-end"], samples=p["samples"])
+    quantum = p["picture"] != "semiclassical"
+    _require_table_memory("evolve", p["samples"], 3 if quantum and p["quadrature"] else 2)
     extra = {}
 
-    if p["picture"] == "semiclassical":
+    if not quantum:
         drive = SemiclassicalDrive(amplitude=p["amplitude"], phase=p["phase"])
         trace = propagate_semiclassical(
             qubit, drive, QubitState.down(), grid,
@@ -111,6 +113,7 @@ def _cmd_evolve(cfg: RunConfig):
 
 def _cmd_fit_shift(cfg: RunConfig):
     p = cfg.parameters
+    _require_table_memory("fit-shift", len(p["coupling"]) * len(p["k"]), 5)
     rows = []
     for coupling in p["coupling"]:
         for k in p["k"]:

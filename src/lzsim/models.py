@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -305,13 +305,10 @@ def coherent_state(alpha: float, n_max: int, n_min: int = 0) -> np.ndarray:
     # floats and the vectors computed from them
     _require_memory(64 * levels, f"coherent state on {levels} levels")
     m = np.arange(n_min, n_max + 1, dtype=float)
-    log_amp = -0.5 * alpha * alpha + m * math.log(alpha) - 0.5 * _lgamma_array(m)
+    log_fact = np.array([math.lgamma(v + 1.0) for v in m])
+    log_amp = -0.5 * alpha * alpha + m * math.log(alpha) - 0.5 * log_fact
     amps = np.exp(log_amp)
     return amps / np.linalg.norm(amps)
-
-
-def _lgamma_array(m: np.ndarray) -> np.ndarray:
-    return np.array([math.lgamma(v + 1.0) for v in m])
 
 
 def _displaced_fock_column(m: int, displacement: float, n_min: int, n_max: int) -> np.ndarray:
@@ -354,30 +351,27 @@ def _displaced_fock_column(m: int, displacement: float, n_min: int, n_max: int) 
         )
     root = np.sqrt(np.arange(top + 2.0)).tolist()
 
-    # a rescale at a row divides that row's value and every value after it
-    up, up_marks = [1.0], []  # rows 0..meet+1
-    prev, cur = 0.0, 1.0
+    # each value with the number of rescales its pass had made on reaching it
+    up, up_counts = [1.0], [0]  # rows 0..meet+1
+    prev, cur, count = 0.0, 1.0, 0
     for j in range(meet + 1):
         prev, cur = cur, ((j + shift) / d * cur - root[j] * prev) / root[j + 1]
         if abs(cur) > _RESCALE:
             prev /= _RESCALE
             cur /= _RESCALE
-            up_marks.append(j + 1)
+            count += 1
         up.append(cur)
-    down, down_marks = [1.0], []  # rows top, top-1, ..., max(meet-1, 0)
-    prev, cur = 0.0, 1.0
+        up_counts.append(count)
+    down, down_counts = [1.0], [0]  # rows top, top-1, ..., max(meet-1, 0)
+    prev, cur, count = 0.0, 1.0, 0
     for j in range(top, max(meet - 1, 0), -1):
         prev, cur = cur, ((j + shift) / d * cur - root[j + 1] * prev) / root[j]
         if abs(cur) > _RESCALE:
             prev /= _RESCALE
             cur /= _RESCALE
-            down_marks.append(-(j - 1))
+            count += 1
         down.append(cur)
-
-    rows = np.arange(top + 1)
-    # the rescales each value of a pass went through
-    up_counts = np.searchsorted(up_marks, rows[: meet + 2], side="right")
-    down_counts = np.searchsorted(down_marks, -rows, side="right")
+        down_counts.append(count)
 
     def log_size(row):  # ln|c_row| up to a constant, from the upward pass
         return math.log(abs(up[row])) + up_counts[row] * _LOG_RESCALE if up[row] else -math.inf
@@ -386,8 +380,9 @@ def _displaced_fock_column(m: int, displacement: float, n_min: int, n_max: int) 
     exact = displaced_fock_overlap(min(r, m), abs(r - m), abs(d))
     if (r - m) % 2 and (r < m) != (d < 0.0):
         exact = -exact
-    low = _scaled_to(np.array(up[: r + 1]), up_counts[: r + 1], r, exact)
-    high = _scaled_to(np.array(down[top - r :: -1]), down_counts[r:], 0, exact)
+    low = _scaled_to(np.array(up[: r + 1]), np.array(up_counts[: r + 1]), r, exact)
+    rising = slice(top - r, None, -1)  # the downward pass's rows r..top, ascending
+    high = _scaled_to(np.array(down[rising]), np.array(down_counts[rising]), 0, exact)
     full = np.concatenate((low[:-1], high))
     hi = min(n_max, top)
     if hi >= n_min:

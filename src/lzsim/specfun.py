@@ -1,16 +1,15 @@
 """Numerically stable special functions used throughout the package.
 
 Integer-order Bessel functions of the first kind, associated Laguerre
-polynomials with overflow-safe scaling, log-space factorial ratios, and the
-overlap between a Fock state and a displaced Fock state.  All routines are
-pure and keep relative accuracy far below the 1e-10 level required by the
-downstream frequency comparisons, except in the immediate neighbourhood of a
-zero of the function where accuracy is absolute.  The public routines are
-scalar, apart from `displaced_fock_overlap_grid`, which reads every requested
-photon number off one Laguerre recurrence and returns, bit for bit, what the
-scalar overlap returns cell by cell.  The private `_bessel_column` does the
-same for J_k over a column of x: one numpy pass per regime, bit for bit what
-`bessel_j` returns.
+polynomials with overflow-safe scaling, and the overlap between a Fock state
+and a displaced Fock state.  All routines are pure and keep relative
+accuracy far below the 1e-10 level required by the downstream frequency
+comparisons, except in the immediate neighbourhood of a zero of the
+function where accuracy is absolute.  The public routines are scalar.  The
+private `_overlap_grid` reads every requested photon number off one
+Laguerre recurrence, bit for bit what the scalar overlap returns cell by
+cell.  The private `_bessel_column` evaluates J_k over a column of x, one
+numpy pass per regime, bit for bit what `bessel_j` returns.
 
 Closed-form large-argument approximations of J_k (stationary-phase form and
 two adiabatic-impulse variants) live here as well; they are the analytic
@@ -20,7 +19,7 @@ side of the strong-driving frequency analysis.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -321,17 +320,20 @@ def assoc_laguerre(n: int, k: int, x: float) -> float:
     return math.copysign(math.exp(value), mantissa)
 
 
-def log_factorial_ratio(n: int, k: int) -> float:
-    """(1/2) ln(n!/(n+k)!), evaluated through lgamma so nothing overflows."""
-    n = require_int("n", n)
-    k = require_int("k", k)
-    return 0.5 * (math.lgamma(n + 1) - math.lgamma(n + k + 1))
-
-
 def require_overlap_index(n: int, k: int) -> None:
     """Raise ValueError when n + k is above MAX_OVERLAP_INDEX."""
     if n + k > MAX_OVERLAP_INDEX:
         raise ValueError(f"n+k={n + k} above supported range {MAX_OVERLAP_INDEX}")
+
+
+def _require_displacement(d: float) -> tuple[float, float]:
+    """d and d^2, checked: d finite and >= 0, d^2 at most 1e58.
+
+    Up to 1e58 a Laguerre step on a value just under the 1e250 rescale still
+    stays finite; above it the overlap could come out NaN or inf.
+    """
+    d = require_real("d", d, 0.0)
+    return d, require_real("d^2", d * d, 0.0, 1e58)
 
 
 def displaced_fock_overlap(n: int, k: int, d: float) -> float:
@@ -339,42 +341,32 @@ def displaced_fock_overlap(n: int, k: int, d: float) -> float:
 
     Evaluates exp(-d^2/2) d^k sqrt(n!/(n+k)!) L_n^k(d^2) with the prefactor in
     log space and the Laguerre factor in scaled form, so the signed value is
-    exact in sign and never overflows.  |result| <= 1 always.
+    exact in sign and never overflows.  |result| <= 1 always.  Raises
+    ValueError when d^2 is above 1e58.
     """
     n = require_int("n", n)
     k = require_int("k", k)
-    d = require_real("d", d, 0.0)
+    d, x = _require_displacement(d)
     require_overlap_index(n, k)
     if d == 0.0:
         return 1.0 if k == 0 else 0.0
-    mantissa, log_scale = assoc_laguerre_scaled(n, k, d * d)
+    mantissa, log_scale = assoc_laguerre_scaled(n, k, x)
     return _overlap_from_laguerre(n, k, d, mantissa, log_scale)
 
 
-def displaced_fock_overlap_grid(ns: Iterable[int], k: int, d: float) -> list[float]:
+def _overlap_grid(ns: Sequence[int], k: int, d: float) -> list[float]:
     """displaced_fock_overlap(n, k, d) for every n in ns, in the order given.
 
     One Laguerre recurrence up to max(ns) serves every photon number, so a
-    grid costs O(max(ns)) recurrence steps instead of O(sum(ns)).  Every n,
-    k and d is checked, n + k against MAX_OVERLAP_INDEX included, before any
-    step runs.
+    grid costs O(max(ns)) recurrence steps instead of O(sum(ns)).  ns and k
+    are trusted: every n and k must be an int >= 0 with max(ns) + k <=
+    MAX_OVERLAP_INDEX, as each caller checks.  d is checked here, as the
+    scalar checks it, before any step.
     """
-    ns = [require_int("n", n) for n in ns]
-    k = require_int("k", k)
-    d = require_real("d", d, 0.0)
-    require_overlap_index(max(ns, default=0), k)
-    return _overlap_grid(ns, k, d)
-
-
-def _overlap_grid(ns: list[int], k: int, d: float) -> list[float]:
-    """displaced_fock_overlap_grid on input its caller has checked.
-
-    Every n and k must be an int >= 0 with n + k <= MAX_OVERLAP_INDEX, and
-    d a finite real >= 0.
-    """
+    d, x = _require_displacement(d)
     if d == 0.0:
         return [1.0 if k == 0 else 0.0] * len(ns)
-    laguerre = _laguerre_scaled_pass(ns, k, d * d)
+    laguerre = _laguerre_scaled_pass(ns, k, x)
     return [
         _overlap_from_laguerre(n, k, d, mantissa, log_scale)
         for n, (mantissa, log_scale) in zip(ns, laguerre)

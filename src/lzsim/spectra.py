@@ -36,9 +36,9 @@ from .specfun import (
     MAX_BESSEL_ORDER,
     _bessel_column,
     _overlap_grid,
+    _require_displacement,
     bessel_j,
     displaced_fock_overlap,
-    displaced_fock_overlap_grid,
     require_overlap_index,
 )
 
@@ -125,11 +125,13 @@ class ComparisonRow:
     a_eff: float
 
 
-def _photon_grid(n_values: Iterable[int]) -> list[int]:
-    """The distinct photon numbers, checked as integers >= 0, in ascending order."""
+def _photon_grid(n_values: Iterable[int], k: int) -> list[int]:
+    """The distinct photon numbers in ascending order, each checked as an
+    integer >= 0 and the largest n + k against MAX_OVERLAP_INDEX."""
     ns = sorted({require_int("n", n) for n in n_values})
     if not ns:
         raise ValueError("empty photon-number grid")
+    require_overlap_index(ns[-1], k)
     return ns
 
 
@@ -152,8 +154,8 @@ def comparison_grid(
     shift = require_real("shift", shift)
     if abs(qubit.bias - k) > 1e-9:
         raise ValueError(f"resonance requires bias = k, got bias={qubit.bias}, k={k}")
-    ns = _photon_grid(n_values)
-    overlaps = displaced_fock_overlap_grid(ns, k, 2.0 * coupling)
+    ns = _photon_grid(n_values, k)
+    overlaps = _overlap_grid(ns, k, 2.0 * coupling)
     rows = []
     for n, overlap in zip(ns, overlaps):
         a_eff = equivalent_amplitude(coupling, n, shift)
@@ -219,10 +221,10 @@ def fit_amplitude_shift(
     """
     k = require_int("k", k)
     coupling = require_real("coupling", coupling, 0.0, above=True)
-    ns = _photon_grid(n_values)
+    ns = _photon_grid(n_values, k)
 
     # rabi_freq_quantum at each n, from one Laguerre pass
-    targets = [qubit.gap * v for v in displaced_fock_overlap_grid(ns, k, 2.0 * coupling)]
+    targets = [qubit.gap * v for v in _overlap_grid(ns, k, 2.0 * coupling)]
 
     def objective(s: float) -> float:
         total = 0.0
@@ -281,9 +283,10 @@ def bessel_laguerre_identity_error(x: float, n: int, k: int) -> float:
     """
     x = require_real("x", x, 0.0)
     n = require_int("n", n)
-    # the overlap first: its index bound refuses before the O(x) Bessel pass
-    rhs = displaced_fock_overlap(n, k, 2.0 * x)
-    return _identity_error(x, n, k, rhs)
+    # the overlap first: its index and displacement bounds refuse before the O(x) Bessel pass
+    overlap = displaced_fock_overlap(n, k, 2.0 * x)
+    lhs = bessel_j(k, 4.0 * x * math.sqrt(n))
+    return abs(lhs - overlap) / max(abs(lhs), 1e-3)
 
 
 def bessel_laguerre_identity_error_grid(
@@ -294,10 +297,10 @@ def bessel_laguerre_identity_error_grid(
     errors[i][j][l] is the error at (xs[i], ns[j], ks[l]); values may come in
     any order and repeat.  One Laguerre pass per distinct (x, k) serves every
     n, the Bessel side of that column is one _bessel_column, and each error
-    equals the scalar function's bit for bit.  Every x, n and k, and the
-    largest n + k against MAX_OVERLAP_INDEX, the largest k against
-    MAX_BESSEL_ORDER and the largest Bessel argument, is checked before any
-    recurrence or Bessel call.
+    equals the scalar function's bit for bit.  Every x, n and k is checked
+    before any recurrence or Bessel call, and so are the largest n + k
+    against MAX_OVERLAP_INDEX, the largest k against MAX_BESSEL_ORDER, the
+    largest Bessel argument and the largest displacement 2 x.
     """
     xs = [require_real("x", x, 0.0) for x in xs]
     ns = [require_int("n", n) for n in ns]
@@ -305,7 +308,9 @@ def bessel_laguerre_identity_error_grid(
     require_overlap_index(max(ns, default=0), max(ks, default=0))
     # the bounds the scalar bessel_j checks per cell; its argument grows with x and n
     require_int("k", max(ks, default=0), 0, MAX_BESSEL_ORDER)
-    require_real("4 x sqrt(n)", 4.0 * max(xs, default=0.0) * math.sqrt(max(ns, default=0)), 0.0)
+    top = max(xs, default=0.0)
+    require_real("4 x sqrt(n)", 4.0 * top * math.sqrt(max(ns, default=0)), 0.0)
+    _require_displacement(2.0 * top)
     roots = np.sqrt(np.array(ns, dtype=float))
     errors = []
     for x in xs:
@@ -313,18 +318,11 @@ def bessel_laguerre_identity_error_grid(
         columns = {}
         for k in dict.fromkeys(ks):
             lhs = _bessel_column(k, args)
-            # ns and ks were checked above, and 2 x is finite because 4 x is
             rhs = np.array(_overlap_grid(ns, k, 2.0 * x))
-            # the scalar _identity_error's IEEE operations, lane by lane
+            # the scalar function's IEEE operations, lane by lane
             columns[k] = (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-3)).tolist()
         errors.append([[columns[k][j] for k in ks] for j in range(len(ns))])
     return errors
-
-
-def _identity_error(x: float, n: int, k: int, overlap: float) -> float:
-    """Relative identity gap at (x, n, k), given the displaced overlap there."""
-    lhs = bessel_j(k, 4.0 * x * math.sqrt(n))
-    return abs(lhs - overlap) / max(abs(lhs), 1e-3)
 
 
 def figure_photon_grid() -> list[int]:

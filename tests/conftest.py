@@ -1,9 +1,10 @@
 """Shared fixtures for the strongly driven time-domain scenario.
 
-The expensive resources are the two dense diagonalizations (dim 1478 on
-the Fock window 662..1400 for mean occupation 1000, dim 448 for
-occupation 100).  They are built once
-per session and shared between the unit tests and the acceptance checks.
+The expensive resources are the two SpectralEvolution objects, for mean
+occupation 1000 on the Fock window 662..1400 and for occupation 100.  Each
+diagonalises its window tile by tile along the Fock ladder.  They are
+built once per session and shared between the unit tests and the
+acceptance checks.
 """
 
 import math

@@ -35,10 +35,6 @@ def laguerre_ref(n: int, k: int, x: float) -> float:
     return float(_laguerre_mp(n, k, x))
 
 
-def log_factorial_ratio_ref(n: int, k: int) -> float:
-    return float(0.5 * (mp.loggamma(n + 1) - mp.loggamma(n + k + 1)))
-
-
 def phase_ref(energy: float, t0: float, dt: float, j: int) -> complex:
     """exp(-i E (t0 + j dt)) at 40 digits, taking E, t0 and dt as exact."""
     with mp.workdps(40):

@@ -483,6 +483,7 @@ def test_identity_sweep_refuses_its_last_column_before_any_work(capsys, monkeypa
     [
         (("identity-sweep", "x=0.01:0.1:0.01", "n=0:99:1", "k=0:2:1"), 3000),
         (("bessel-approx", "x=1:100:1", "k=0:19:1"), 2000),
+        (("fit-shift", "coupling=0.1:40:0.1", "k=0", "n=100:200:50"), 400),
     ],
 )
 def test_product_grids_refuse_a_table_beyond_memory_before_any_cell(capsys, monkeypatch, argv, rows):
@@ -494,12 +495,45 @@ def test_product_grids_refuse_a_table_beyond_memory_before_any_cell(capsys, monk
         raise AssertionError(f"a cell was computed before the memory check: {args[:2]}")
 
     monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 10**5)
-    for name in ("bessel_laguerre_identity_error_grid", "bessel_j", "bessel_j_asymptotic"):
+    for name in ("bessel_laguerre_identity_error_grid", "bessel_j", "bessel_j_asymptotic",
+                 "fit_amplitude_shift"):
         monkeypatch.setattr(lzsim.cli, name, no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert f"lzsim: numerical failure: {argv[0]} table of {rows} rows needs about" in err
     assert "more than the 100000 bytes of physical memory" in err
+
+
+@pytest.mark.parametrize(
+    "argv, width",
+    [
+        (("picture=semiclassical", "amplitude=10"), 2),
+        (("picture=quantum", "coupling=0.1", "initial=coherent", "mean=100"), 2),
+        (("picture=quantum", "coupling=0.1", "initial=fock", "m=3", "quadrature=true"), 3),
+    ],
+)
+def test_evolve_refuses_a_trace_beyond_memory_before_any_propagator_work(
+    capsys, monkeypatch, argv, width
+):
+    # 1e12 samples of 2 or 3 columns; the reading is capped at 32 GiB so a
+    # host with more memory refuses too
+    import lzsim.cli
+    import lzsim.models
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("propagator work started before the memory check")
+
+    monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 32 * 2**30)
+    for name in ("propagate_semiclassical", "SpectralEvolution"):
+        monkeypatch.setattr(lzsim.cli, name, no_work)
+    code, out, err = run_cli(
+        capsys, "evolve", "gap=0.4", "bias=2", "t-end=10", "samples=1000000000000", *argv
+    )
+    assert code == 3 and out == ""
+    assert err == (
+        f"lzsim: numerical failure: evolve table of 1000000000000 rows needs about "
+        f"{64 * width * 10**12} bytes, more than the {32 * 2**30} bytes of physical memory\n"
+    )
 
 
 def test_config_file_with_unknown_format(tmp_path, capsys):

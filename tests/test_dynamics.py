@@ -341,6 +341,25 @@ def test_period_too_large_for_memory_is_refused(monkeypatch):
         )
 
 
+def test_sample_times_beyond_memory_are_refused_before_allocating(monkeypatch):
+    # 32 bytes a sample: the times and the trace arrays built on them
+    import lzsim.models
+
+    evolution = SpectralEvolution(QubitSpec(0.4, 2.0), CavityCoupling(0.1, 40))
+    state = JointState.from_product(QubitState.down(), fock_state(3, 40), 40)
+    monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 10**5)
+    grid = TimeGrid(0.0, 1.0, 3126)
+    with pytest.raises(ResourceLimitError, match="a trace of 3126 samples needs about 100032"):
+        grid.times()
+    with pytest.raises(ResourceLimitError, match="a trace of 3126 samples"):
+        propagate_semiclassical(
+            QubitSpec(0.4, 2.0), SemiclassicalDrive(10.0), QubitState.down(), grid,
+            steps_per_period=64,
+        )
+    with pytest.raises(ResourceLimitError, match="a trace of 3126 samples"):
+        evolution.traces(state, grid)
+
+
 # ------------------------------------------------------- quantum propagator
 
 

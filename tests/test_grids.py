@@ -29,7 +29,7 @@ from lzsim.specfun import (
     MAX_BESSEL_ORDER,
     _bessel_column,
     _laguerre_scaled_pass,
-    displaced_fock_overlap_grid,
+    _overlap_grid,
 )
 from lzsim.spectra import bessel_laguerre_identity_error_grid
 
@@ -91,7 +91,7 @@ def test_pass_over_unsorted_repeated_degrees_equals_each_degree_alone(degrees, k
     d=st.floats(min_value=0.0, max_value=45.0, allow_nan=False),
 )
 def test_overlap_grid_over_unsorted_repeated_n_equals_each_cell(ns, k, d):
-    got = displaced_fock_overlap_grid(ns, k, d)
+    got = _overlap_grid(ns, k, d)
     assert len(got) == len(ns)
     assert all(identical(g, displaced_fock_overlap(n, k, d)) for g, n in zip(got, ns))
 
@@ -227,7 +227,7 @@ random.Random(8).shuffle(OVERLAP_NS)
 @pytest.mark.parametrize("d", [0.0, 0.02, 0.2, 2.0, 12.0, 40.0])
 def test_overlap_grid_equals_scalar_overlap(d):
     for k in range(13):
-        got = displaced_fock_overlap_grid(OVERLAP_NS, k, d)
+        got = _overlap_grid(OVERLAP_NS, k, d)
         want = [displaced_fock_overlap(n, k, d) for n in OVERLAP_NS]
         bad = [(n, g, w) for n, g, w in zip(OVERLAP_NS, got, want) if not identical(g, w)]
         assert not bad, f"d={d}, k={k}: (n, grid, scalar) {bad[:3]}"
@@ -297,7 +297,7 @@ def test_fit_shift_targets_equal_the_scalar_route(monkeypatch):
     def per_cell(ns, k, d):
         return [displaced_fock_overlap(n, k, d) for n in ns]
 
-    monkeypatch.setattr(spectra, "displaced_fock_overlap_grid", per_cell)
+    monkeypatch.setattr(spectra, "_overlap_grid", per_cell)
     slow = fit_amplitude_shift(qubit, coupling, k, ns)
     assert identical(fast.offset, slow.offset) and identical(fast.residual, slow.residual)
 
@@ -310,14 +310,17 @@ def _refuse_work(monkeypatch):
         raise AssertionError(f"work started before every cell was checked: {args[:2]}")
 
     monkeypatch.setattr("lzsim.specfun._laguerre_scaled_pass", no_work)
+    monkeypatch.setattr("lzsim.specfun.assoc_laguerre_scaled", no_work)
     monkeypatch.setattr("lzsim.spectra.bessel_j", no_work)
     monkeypatch.setattr("lzsim.spectra._bessel_column", no_work)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 1e200])
 def test_identity_grid_checks_a_bad_last_x_before_any_work(monkeypatch, bad):
     _refuse_work(monkeypatch)
-    with pytest.raises(ValueError, match="got x="):
+    # x = 1e200 is finite, but the square of its displacement 2 x is not
+    message = r"got d\^2=inf" if bad == 1e200 else "got x="
+    with pytest.raises(ValueError, match=message):
         bessel_laguerre_identity_error_grid([0.1, bad], [3], [1])
 
 
@@ -328,14 +331,16 @@ def test_grids_check_a_bad_last_index_before_any_work(monkeypatch, bad):
         bessel_laguerre_identity_error_grid([0.1], [3, bad], [1])
     with pytest.raises(ValueError, match="got k="):
         bessel_laguerre_identity_error_grid([0.1], [3], [1, bad])
-    with pytest.raises(ValueError, match="got n="):
-        displaced_fock_overlap_grid([3, bad], 1, 0.2)
+    for grid in (comparison_grid, fit_amplitude_shift):
+        with pytest.raises(ValueError, match="got n="):
+            grid(QubitSpec(0.01, 1.0), 0.2, 1, [3, bad])
 
 
 def test_grids_refuse_an_index_past_the_bound_before_any_work(monkeypatch):
     _refuse_work(monkeypatch)
-    with pytest.raises(ValueError, match="above supported range"):
-        displaced_fock_overlap_grid([0, 5, 10**6], 1, 0.2)
+    for grid in (comparison_grid, fit_amplitude_shift):
+        with pytest.raises(ValueError, match="above supported range"):
+            grid(QubitSpec(0.01, 1.0), 0.2, 1, [0, 5, 10**6])
     # n = 10**6 is in range at k = 0, so only checking the whole grid refuses
     with pytest.raises(ValueError, match="above supported range"):
         bessel_laguerre_identity_error_grid([0.1], [0, 10**6], [0, 1])
@@ -348,3 +353,32 @@ def test_identity_grid_checks_the_bessel_side_before_any_work(monkeypatch):
     # 4 x sqrt(n) overflows although x, n and 2x are all finite
     with pytest.raises(ValueError, match=r"got 4 x sqrt\(n\)=inf"):
         bessel_laguerre_identity_error_grid([0.1, 1e308], [0, 4], [0])
+
+
+@pytest.mark.parametrize("d", [1e200, 1e100, 1.0000001e29])
+def test_every_overlap_entry_point_refuses_a_huge_displacement_before_any_work(monkeypatch, d):
+    # unchecked, the grid returned NaN (d^2 = inf at 1e200; a Laguerre step
+    # overflowing past the 1e250 rescale above d^2 = 1e58) and comparison_grid
+    # went on to a Bessel pass at 6.9e200
+    _refuse_work(monkeypatch)
+    qubit = QubitSpec(0.01, 1.0)
+    calls = [
+        lambda: displaced_fock_overlap(1000, 1, d),
+        lambda: _overlap_grid([0, 1000], 1, d),
+        lambda: rabi_freq_quantum(qubit, 0.5 * d, 1000, 1),
+        lambda: comparison_grid(qubit, 0.5 * d, 1, [0, 1000]),
+        lambda: fit_amplitude_shift(qubit, 0.5 * d, 1, [0, 1000]),
+        lambda: bessel_laguerre_identity_error(0.5 * d, 0, 1),
+        lambda: bessel_laguerre_identity_error_grid([0.1, 0.5 * d], [0], [1]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"got d\^2="):
+            call()
+
+
+def test_overlap_at_the_largest_displacement_is_finite():
+    # d^2 = 1e58 is the bound: no Laguerre step overflows, and the overlap
+    # underflows to a signed zero
+    for n, k in [(0, 0), (1, 3), (1000, 0), (2, 999_998), (10**6, 0)]:
+        value = displaced_fock_overlap(n, k, 1e29)
+        assert value == 0.0, (n, k, value)

@@ -48,12 +48,7 @@ from lzsim import (
     rabi_freq_semiclassical,
 )
 from lzsim.models import require_dense_memory
-from lzsim.specfun import (
-    MAX_BESSEL_ORDER,
-    MAX_OVERLAP_INDEX,
-    displaced_fock_overlap_grid,
-    log_factorial_ratio,
-)
+from lzsim.specfun import MAX_BESSEL_ORDER, MAX_OVERLAP_INDEX
 from lzsim.spectra import bessel_laguerre_identity_error_grid
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
@@ -102,11 +97,8 @@ TABLE = [
           ("n", INT, (-1, MAX_OVERLAP_INDEX + 1)), ("k", INT, (-1,)), ("x", REAL, (-0.5,))),
     *rows(assoc_laguerre, dict(n=3, k=1, x=0.5),
           ("n", INT, (-1, MAX_OVERLAP_INDEX + 1)), ("k", INT, (-1,)), ("x", REAL, (-0.5,))),
-    *rows(log_factorial_ratio, dict(n=3, k=1), ("n", INT, (-1,)), ("k", INT, (-1,))),
     *rows(displaced_fock_overlap, dict(n=3, k=1, d=0.5),
           ("n", INT, (-1,)), ("k", INT, (-1,)), ("d", REAL, (-0.5,))),
-    *rows(displaced_fock_overlap_grid, dict(ns=[3, 5], k=1, d=0.5),
-          ("ns", INT, (-1,), "n", lambda v: [3, v]), ("k", INT, (-1,)), ("d", REAL, (-0.5,))),
     # models
     *rows(QubitSpec, dict(gap=0.1, bias=0.0), ("gap", REAL, (-0.1,)), ("bias", REAL, (-0.1,))),
     *rows(SemiclassicalDrive, dict(amplitude=1.0, phase=0.0),

@@ -14,7 +14,7 @@ from lzsim import (
     bessel_j_asymptotic,
     displaced_fock_overlap,
 )
-from lzsim.specfun import MAX_BESSEL_ORDER, MAX_OVERLAP_INDEX, log_factorial_ratio
+from lzsim.specfun import MAX_BESSEL_ORDER, MAX_OVERLAP_INDEX
 
 
 # ---------------------------------------------------------------- bessel_j
@@ -165,26 +165,6 @@ def test_laguerre_rejects_bad_arguments():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="x="):
             assoc_laguerre(3, 1, bad)
-
-
-# ------------------------------------------------------- factorial ratios
-
-
-def test_log_factorial_ratio_values():
-    # (1/2) ln(3!/5!) = (1/2) ln(1/20)
-    assert log_factorial_ratio(3, 2) == pytest.approx(0.5 * math.log(6.0 / 120.0), rel=1e-14)
-    assert log_factorial_ratio(0, 0) == 0.0
-    assert log_factorial_ratio(1000, 5) == pytest.approx(
-        oracles.log_factorial_ratio_ref(1000, 5), rel=1e-12
-    )
-    assert abs(log_factorial_ratio(1000, 5)) < 40.0
-
-
-def test_log_factorial_ratio_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        log_factorial_ratio(-1, 0)
-    with pytest.raises(ValueError):
-        log_factorial_ratio(0, -1)
 
 
 # ------------------------------------------------- displaced Fock overlap
