@@ -50,6 +50,7 @@ from .models import (
     QubitState,
     SemiclassicalDrive,
     _NORM_TOL,
+    _TRUNCATION_LEAK_TOL,
     _require_memory,
     rabi_hamiltonian,
 )
@@ -63,7 +64,6 @@ MAX_TIME = 1e15
 # overlaps by s moves a state's norm by at most 2 s, so the tiles alone
 # never trip the norm check
 _OVERLAP_TOL = 0.5 * _NORM_TOL
-_TRUNCATION_LEAK_TOL = 1e-8
 
 # Gauss-Legendre nodes on [0, 1] and the fourth-order exponential weights.
 # Each step is exp(-i h (B H1 + A H2)) exp(-i h (A H1 + B H2)) with

@@ -24,17 +24,11 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ResourceLimitError, TruncationError, require_int, require_real
-from .specfun import (
-    _LOG_RESCALE,
-    _RESCALE,
-    MAX_OVERLAP_INDEX,
-    _miller_margin,
-    displaced_fock_overlap,
-)
+from .specfun import _displaced_fock_column
 
 _NORM_TOL = 1e-9
-# below this |d| a displaced Fock column is the number state itself
-_MIN_DISPLACEMENT = 1e-50
+# the norm a state may lose to, or hold at, the edges of its Fock window
+_TRUNCATION_LEAK_TOL = 1e-8
 
 
 class Branch(IntEnum):
@@ -48,8 +42,7 @@ class Branch(IntEnum):
 class QubitSpec:
     """Static two-level system: nonnegative tunnel gap and bias.
 
-    gap = 0 describes a pure sigma_z qubit (useful as a degenerate limit);
-    spectral quantities built on the mixing angle require gap > 0.
+    gap = 0 describes a pure sigma_z qubit (useful as a degenerate limit).
     """
 
     gap: float
@@ -311,106 +304,18 @@ def coherent_state(alpha: float, n_max: int, n_min: int = 0) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _displaced_fock_column(m: int, displacement: float, n_min: int, n_max: int) -> np.ndarray:
-    """Amplitudes <j| exp(d (adag - a)) |m> for j = n_min..n_max, any real d.
-
-    exp(d (adag - a))|m> is the eigenvector of (adag - d)(a - d) with
-    eigenvalue m (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), so its
-    amplitudes c_j obey
-        sqrt(j+1) c_{j+1} = ((j + d^2 - m)/d) c_j - sqrt(j) c_{j-1}.
-    The column is that recurrence run once over its rows, in two halves that
-    meet at p = max(m, floor((sqrt(m) - |d|)^2)): row m, or the lower of the
-    turning points (sqrt(m) -/+ |d|)^2 when m lies below it.  Each half runs
-    in the direction in which the column grows:
-      * upward from the exact seed c_{-1} = 0, c_0 = 1 to row p + 1;
-      * downward, Miller-style, to row p - 1 from above the upper turning
-        point by _miller_margin of it plus 10|d| (the Poisson tail of a
-        small m).
-    Both passes rescale at 1e250.  One scalar displaced_fock_overlap, at
-    whichever of rows p - 1, p, p + 1 holds the largest amplitude (so never
-    at a node of the column), fixes the scale and sign of both halves; rows
-    above the Miller start are 0.  A column costs O((sqrt(m) + |d|)^2)
-    steps, and for |d| < 1e-50, where no entry off row m reaches 1e-47, it
-    is |m> itself.  Raises ValueError when the Miller start lies above
-    MAX_OVERLAP_INDEX.
-    """
-    col = np.zeros(n_max - n_min + 1)
-    d = displacement
-    if abs(d) < _MIN_DISPLACEMENT:
-        if n_min <= m <= n_max:
-            col[m - n_min] = 1.0
-        return col
-    shift = d * d - m
-    upper = (math.sqrt(m) + abs(d)) ** 2
-    meet = max(m, int((math.sqrt(m) - abs(d)) ** 2))
-    top = math.ceil(upper) + _miller_margin(upper) + math.ceil(10.0 * abs(d))
-    if top > MAX_OVERLAP_INDEX:
-        raise ValueError(
-            f"displaced Fock column (m={m}, d={d}) starts its recurrence at row {top}, "
-            f"above supported range {MAX_OVERLAP_INDEX}"
-        )
-    root = np.sqrt(np.arange(top + 2.0)).tolist()
-
-    # each value with the number of rescales its pass had made on reaching it
-    up, up_counts = [1.0], [0]  # rows 0..meet+1
-    prev, cur, count = 0.0, 1.0, 0
-    for j in range(meet + 1):
-        prev, cur = cur, ((j + shift) / d * cur - root[j] * prev) / root[j + 1]
-        if abs(cur) > _RESCALE:
-            prev /= _RESCALE
-            cur /= _RESCALE
-            count += 1
-        up.append(cur)
-        up_counts.append(count)
-    down, down_counts = [1.0], [0]  # rows top, top-1, ..., max(meet-1, 0)
-    prev, cur, count = 0.0, 1.0, 0
-    for j in range(top, max(meet - 1, 0), -1):
-        prev, cur = cur, ((j + shift) / d * cur - root[j + 1] * prev) / root[j]
-        if abs(cur) > _RESCALE:
-            prev /= _RESCALE
-            cur /= _RESCALE
-            count += 1
-        down.append(cur)
-        down_counts.append(count)
-
-    def log_size(row):  # ln|c_row| up to a constant, from the upward pass
-        return math.log(abs(up[row])) + up_counts[row] * _LOG_RESCALE if up[row] else -math.inf
-
-    r = max((row for row in (meet - 1, meet, meet + 1) if row >= 0), key=log_size)
-    exact = displaced_fock_overlap(min(r, m), abs(r - m), abs(d))
-    if (r - m) % 2 and (r < m) != (d < 0.0):
-        exact = -exact
-    low = _scaled_to(np.array(up[: r + 1]), np.array(up_counts[: r + 1]), r, exact)
-    rising = slice(top - r, None, -1)  # the downward pass's rows r..top, ascending
-    high = _scaled_to(np.array(down[rising]), np.array(down_counts[rising]), 0, exact)
-    full = np.concatenate((low[:-1], high))
-    hi = min(n_max, top)
-    if hi >= n_min:
-        col[: hi - n_min + 1] = full[n_min : hi + 1]
-    return col
-
-
-def _scaled_to(raw: np.ndarray, counts: np.ndarray, at: int, value: float) -> np.ndarray:
-    """One recurrence pass scaled so that its entry `at` equals value.
-
-    raw[i] stands for raw[i] * 1e250^counts[i]; entries far below the scale
-    of raw[at] flush to 0.
-    """
-    return (raw / raw[at]) * np.exp((counts - counts[at]) * _LOG_RESCALE) * value
-
-
 def grwa_state(branch: Branch, m: int, cavity: CavityCoupling) -> JointState:
     """Displaced-oscillator basis state |branch> x exp(+/- c (adag - a)) |m>.
 
     The coupling term -c sz (a + adag) puts the up-branch equilibrium at
     <a> = +c, so the up branch displaces with exp(+c (adag - a)) and the down
     branch with the opposite sign.  The column is one two-way recurrence
-    over its rows (_displaced_fock_column), its scale and sign fixed by one
-    scalar displaced_fock_overlap.  Raises TruncationError when the column,
-    cut to the window n_min..n_max, loses more than 1e-8 of its norm; the
-    kept column is renormalised.  Raises ValueError when the recurrence
-    would start above row MAX_OVERLAP_INDEX, and ResourceLimitError before
-    allocating vectors beyond physical memory.
+    over its rows (specfun._displaced_fock_column), of unit norm over the
+    rows the recurrence reaches.  Raises TruncationError when the column,
+    cut to the window n_min..n_max, loses more than _TRUNCATION_LEAK_TOL of
+    its norm; the kept column is renormalised.  Raises ValueError when the
+    recurrence would start above row MAX_OVERLAP_INDEX, and
+    ResourceLimitError before allocating vectors beyond physical memory.
     """
     m = require_int("m", m, cavity.n_min, cavity.n_max)
     # the real column, its renormalised copy and the complex joint vector
@@ -418,10 +323,11 @@ def grwa_state(branch: Branch, m: int, cavity: CavityCoupling) -> JointState:
     sign = 1.0 if branch == Branch.UP else -1.0
     col = _displaced_fock_column(m, sign * cavity.coupling, cavity.n_min, cavity.n_max)
     deficit = 1.0 - float(col @ col)
-    if deficit > 1e-8:
+    if deficit > _TRUNCATION_LEAK_TOL:
         raise TruncationError(
             f"displaced Fock column (branch={branch.name}, m={m}) loses {deficit:.2e} norm "
-            f"on the window n_min={cavity.n_min}, n_max={cavity.n_max}"
+            f"(limit {_TRUNCATION_LEAK_TOL:g}) on the window n_min={cavity.n_min}, "
+            f"n_max={cavity.n_max}"
         )
     col = col / np.linalg.norm(col)
     n_states = cavity.levels

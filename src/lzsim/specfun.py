@@ -2,14 +2,17 @@
 
 Integer-order Bessel functions of the first kind, associated Laguerre
 polynomials with overflow-safe scaling, and the overlap between a Fock state
-and a displaced Fock state.  All routines are pure and keep relative
-accuracy far below the 1e-10 level required by the downstream frequency
-comparisons, except in the immediate neighbourhood of a zero of the
-function where accuracy is absolute.  The public routines are scalar.  The
-private `_overlap_grid` reads every requested photon number off one
-Laguerre recurrence, bit for bit what the scalar overlap returns cell by
-cell.  The private `_bessel_column` evaluates J_k over a column of x, one
-numpy pass per regime, bit for bit what `bessel_j` returns.
+and a displaced Fock state.  All routines are pure.  Relative error
+is below 1e-10, except near a zero of the function, where accuracy is
+absolute, and in the overlap at large n and small d, where the Laguerre
+recurrence drifts: against mpmath at d = 0.3 it is 1.5e-11 at n = 1e4,
+1.1e-9 at 1e5 and 7.9e-9 to 1.5e-8 at 5e5 (k = 0 to 3).  The public
+routines are scalar.  The private `_overlap_grid` reads every requested
+photon number off one Laguerre recurrence, bit for bit what the scalar
+overlap returns cell by cell.  The private `_bessel_column` evaluates J_k
+over a column of x, one numpy pass per regime, bit for bit what `bessel_j`
+returns.  The private `_displaced_fock_column` builds a whole column
+<j| D(d) |m> from its own recurrence, with no Laguerre pass.
 
 Closed-form large-argument approximations of J_k (stationary-phase form and
 two adiabatic-impulse variants) live here as well; they are the analytic
@@ -31,6 +34,11 @@ MAX_OVERLAP_INDEX = 1_000_000
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 _QUARTER_PI = 0.25 * math.pi
+# the largest Laguerre argument (x, or d^2 for an overlap): up to it a step on
+# a value just under the 1e250 rescale stays finite, above it NaN or inf
+_MAX_LAGUERRE_X = 1e58
+# below this |d| a displaced Fock column is the number state itself
+_MIN_DISPLACEMENT = 1e-50
 # lanes of one Bessel regime below which a numpy pass over an x column loses
 # to scalar calls (measured break-even 60-80 lanes for both the series and
 # Miller regimes, on one CPU); the Miller split prices one numpy step at this
@@ -272,11 +280,13 @@ def assoc_laguerre_scaled(n: int, k: int, x: float) -> tuple[float, float]:
 
     Three-term recurrence
        (m+1) L_{m+1}^k = (2m+k+1-x) L_m^k - (m+k) L_{m-1}^k
-    with running rescaling, so no degree up to MAX_OVERLAP_INDEX overflows.
+    with running rescaling, so no degree overflows.  Raises ValueError when
+    n + k is above MAX_OVERLAP_INDEX or x above 1e58.
     """
-    n = require_int("n", n, 0, MAX_OVERLAP_INDEX)
+    n = require_int("n", n)
     k = require_int("k", k)
-    x = require_real("x", x, 0.0)
+    require_overlap_index(n, k)
+    x = require_real("x", x, 0.0, _MAX_LAGUERRE_X)
     return _laguerre_scaled_pass((n,), k, x)[0]
 
 
@@ -323,17 +333,13 @@ def assoc_laguerre(n: int, k: int, x: float) -> float:
 def require_overlap_index(n: int, k: int) -> None:
     """Raise ValueError when n + k is above MAX_OVERLAP_INDEX."""
     if n + k > MAX_OVERLAP_INDEX:
-        raise ValueError(f"n+k={n + k} above supported range {MAX_OVERLAP_INDEX}")
+        raise ValueError(f"n+k above supported range {MAX_OVERLAP_INDEX}, got n+k={n + k}")
 
 
 def _require_displacement(d: float) -> tuple[float, float]:
-    """d and d^2, checked: d finite and >= 0, d^2 at most 1e58.
-
-    Up to 1e58 a Laguerre step on a value just under the 1e250 rescale still
-    stays finite; above it the overlap could come out NaN or inf.
-    """
+    """d and d^2, checked: d finite and >= 0, d^2 at most _MAX_LAGUERRE_X."""
     d = require_real("d", d, 0.0)
-    return d, require_real("d^2", d * d, 0.0, 1e58)
+    return d, require_real("d^2", d * d, 0.0, _MAX_LAGUERRE_X)
 
 
 def displaced_fock_overlap(n: int, k: int, d: float) -> float:
@@ -387,3 +393,90 @@ def _overlap_from_laguerre(n: int, k: int, d: float, mantissa: float, log_scale:
     if log_mag < -745.0:
         return math.copysign(0.0, mantissa)
     return math.copysign(math.exp(log_mag), mantissa)
+
+
+def _displaced_fock_column(m: int, d: float, n_min: int, n_max: int) -> np.ndarray:
+    """Amplitudes <j| exp(d (adag - a)) |m> for j = n_min..n_max, any real d.
+
+    exp(d (adag - a))|m> is the eigenvector of (adag - d)(a - d) with
+    eigenvalue m (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), so its
+    amplitudes c_j obey
+        sqrt(j+1) c_{j+1} = ((j + d^2 - m)/d) c_j - sqrt(j) c_{j-1}.
+    The column is that recurrence run once over its rows, in two halves that
+    meet at p = max(m, floor((sqrt(m) - |d|)^2)): row m, or the lower of the
+    turning points (sqrt(m) -/+ |d|)^2 when m lies below it.  Each half runs
+    in the direction in which the column grows:
+      * upward from the exact seed c_{-1} = 0, c_0 = 1 to row p + 1;
+      * downward, Miller-style, to row p - 1 from above the upper turning
+        point by _miller_margin of it plus 10|d| (the Poisson tail of a
+        small m).
+    Both passes rescale at 1e250.  The halves are matched at whichever of
+    rows p - 1, p, p + 1 holds the largest amplitude (so never at a node of
+    the column), and the column is scaled to unit norm over its rows
+    0..top, the Miller start; rows above it are 0.  The sign comes from row
+    0, exp(-d^2/2) (-d)^m / sqrt(m!): (-1)^m for d > 0, + for d < 0.  A
+    column costs O((sqrt(m) + |d|)^2) steps, and for |d| < 1e-50, where no
+    entry off row m reaches 1e-47, it is |m> itself.  Raises ValueError
+    when the Miller start lies above MAX_OVERLAP_INDEX.
+    """
+    col = np.zeros(n_max - n_min + 1)
+    if abs(d) < _MIN_DISPLACEMENT:
+        if n_min <= m <= n_max:
+            col[m - n_min] = 1.0
+        return col
+    shift = d * d - m
+    upper = (math.sqrt(m) + abs(d)) ** 2
+    meet = max(m, int((math.sqrt(m) - abs(d)) ** 2))
+    top = math.ceil(upper) + _miller_margin(upper) + math.ceil(10.0 * abs(d))
+    if top > MAX_OVERLAP_INDEX:
+        raise ValueError(
+            f"displaced Fock column (m={m}, d={d}) starts its recurrence at row {top}, "
+            f"above supported range {MAX_OVERLAP_INDEX}"
+        )
+    root = np.sqrt(np.arange(top + 2.0)).tolist()
+
+    # each value with the number of rescales its pass had made on reaching it
+    up, up_counts = [1.0], [0]  # rows 0..meet+1
+    prev, cur, count = 0.0, 1.0, 0
+    for j in range(meet + 1):
+        prev, cur = cur, ((j + shift) / d * cur - root[j] * prev) / root[j + 1]
+        if abs(cur) > _RESCALE:
+            prev /= _RESCALE
+            cur /= _RESCALE
+            count += 1
+        up.append(cur)
+        up_counts.append(count)
+    down, down_counts = [1.0], [0]  # rows top, top-1, ..., max(meet-1, 0)
+    prev, cur, count = 0.0, 1.0, 0
+    for j in range(top, max(meet - 1, 0), -1):
+        prev, cur = cur, ((j + shift) / d * cur - root[j + 1] * prev) / root[j]
+        if abs(cur) > _RESCALE:
+            prev /= _RESCALE
+            cur /= _RESCALE
+            count += 1
+        down.append(cur)
+        down_counts.append(count)
+
+    def log_size(row):  # ln|c_row| up to a constant, from the upward pass
+        return math.log(abs(up[row])) + up_counts[row] * _LOG_RESCALE if up[row] else -math.inf
+
+    r = max((row for row in (meet - 1, meet, meet + 1) if row >= 0), key=log_size)
+    low = _scaled_to(np.array(up[: r + 1]), np.array(up_counts[: r + 1]), r)
+    rising = slice(top - r, None, -1)  # the downward pass's rows r..top, ascending
+    high = _scaled_to(np.array(down[rising]), np.array(down_counts[rising]), 0)
+    full = np.concatenate((low[:-1], high))
+    # low[0] carries the sign of up[r]; row 0 must carry that of (-d)^m
+    sign = math.copysign(1.0, up[r]) * (-1.0 if d > 0.0 and m % 2 else 1.0)
+    full *= sign / np.linalg.norm(full)
+    rows = full[n_min : n_max + 1]  # the window's rows up to top
+    col[: rows.size] = rows
+    return col
+
+
+def _scaled_to(raw: np.ndarray, counts: np.ndarray, at: int) -> np.ndarray:
+    """One recurrence pass scaled so that its entry `at` equals 1.
+
+    raw[i] stands for raw[i] * 1e250^counts[i]; entries far below the scale
+    of raw[at] flush to 0.
+    """
+    return (raw / raw[at]) * np.exp((counts - counts[at]) * _LOG_RESCALE)

@@ -475,7 +475,7 @@ def test_identity_sweep_refuses_its_last_column_before_any_work(capsys, monkeypa
     monkeypatch.setattr("lzsim.spectra._bessel_column", no_work)
     code, out, err = run_cli(capsys, "identity-sweep", "x=0.1", "n=0:1000000:1", "k=0:1:1")
     assert code == 2 and out == ""
-    assert "n+k=1000001 above supported range 1000000" in err
+    assert "n+k above supported range 1000000, got n+k=1000001" in err
 
 
 @pytest.mark.parametrize(

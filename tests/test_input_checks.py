@@ -94,9 +94,13 @@ TABLE = [
     *rows(bessel_j_adiabatic_impulse_expanded, dict(k=2, x=5.0),
           ("k", INT, (-1,)), ("x", REAL, (2.0, 1.0))),
     *rows(assoc_laguerre_scaled, dict(n=3, k=1, x=0.5),
-          ("n", INT, (-1, MAX_OVERLAP_INDEX + 1)), ("k", INT, (-1,)), ("x", REAL, (-0.5,))),
+          ("n", INT, (-1,)), ("k", INT, (-1,)), ("x", REAL, (-0.5, 1.1e58)),
+          ("n", DERIVED, (MAX_OVERLAP_INDEX + 1,), "n+k"),
+          ("k", DERIVED, (MAX_OVERLAP_INDEX,), "n+k")),
     *rows(assoc_laguerre, dict(n=3, k=1, x=0.5),
-          ("n", INT, (-1, MAX_OVERLAP_INDEX + 1)), ("k", INT, (-1,)), ("x", REAL, (-0.5,))),
+          ("n", INT, (-1,)), ("k", INT, (-1,)), ("x", REAL, (-0.5, 1.1e58)),
+          ("n", DERIVED, (MAX_OVERLAP_INDEX + 1,), "n+k"),
+          ("k", DERIVED, (MAX_OVERLAP_INDEX,), "n+k")),
     *rows(displaced_fock_overlap, dict(n=3, k=1, d=0.5),
           ("n", INT, (-1,)), ("k", INT, (-1,)), ("d", REAL, (-0.5,))),
     # models

@@ -1,6 +1,8 @@
-"""Static checks of the package source: no dead imports, an exact public surface."""
+"""Static checks of the package source: no dead imports or private names, an
+exact public surface."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,50 @@ def test_all_lists_exactly_the_public_names_the_package_imports():
     public = {name for name in imported if not name.startswith("_")}
     assert len(lzsim.__all__) == len(set(lzsim.__all__))
     assert set(lzsim.__all__) == public
+
+
+def _private_definitions(tree):
+    """(name, node) for every top-level private function, class or constant."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(n, node) for n, node in defined if n.startswith("_") and not n.startswith("__")]
+
+
+def _loaded_names(tree):
+    """How often each name is read in tree."""
+    return Counter(
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _imported_from(tree, module):
+    """The names tree imports from the package module `module`."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        for alias in node.names
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_private_name_is_used_in_the_package(path):
+    # used: read in its own module outside its own definition (so a recursive
+    # call does not count), or imported by another; an import that is never
+    # read is caught by test_no_unused_top_level_import
+    tree = _tree(path)
+    loaded = _loaded_names(tree)
+    imported = set().union(*(_imported_from(_tree(other), path.stem) for other in MODULES))
+    unused = [
+        (name, node.lineno)
+        for name, node in _private_definitions(tree)
+        if name not in imported and loaded[name] == _loaded_names(node)[name]
+    ]
+    assert not unused, f"{path.name}: private names used nowhere in the package {unused}"

@@ -25,8 +25,7 @@ from lzsim import (
     grwa_state,
     rabi_hamiltonian,
 )
-from lzsim.models import _displaced_fock_column
-from lzsim.specfun import displaced_fock_overlap
+from lzsim.specfun import _displaced_fock_column, displaced_fock_overlap
 
 
 # ------------------------------------------------------------ static specs
@@ -298,6 +297,19 @@ def test_displaced_fock_column_matches_the_per_row_path():
             assert np.max(np.abs(new - old)) <= 1e-11 * np.max(np.abs(old)), (m, d)
 
 
+@pytest.mark.parametrize("d", [0.3, -0.3])
+def test_displaced_fock_column_at_a_large_photon_number(d):
+    # the Laguerre recurrence drifts at large n (a column anchored to one
+    # overlap was 1.4e-12 off here, and 3e-11 off unit norm); a column
+    # scaled by its own norm does not depend on it
+    m = 10_000
+    col = _displaced_fock_column(m, d, 0, m + 400)
+    cache = {}
+    for j in (m - 40, m - 1, m, m + 1, m + 40):
+        assert abs(col[j] - _column_ref(j, m, d, cache)) <= 1e-13, j
+    assert abs(col @ col - 1.0) <= 1e-14
+
+
 def test_displaced_fock_column_tiny_and_out_of_range_displacements():
     # below |d| = 1e-50 the column is |m>; just above it the recurrence's
     # 1/d steps must not overflow between rescales
@@ -310,7 +322,7 @@ def test_displaced_fock_column_tiny_and_out_of_range_displacements():
 
 
 def test_grwa_state_truncation_guard():
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"limit 1e-08"):
         grwa_state(Branch.UP, 49, CavityCoupling(2.0, 50))
     with pytest.raises(ValueError):
         grwa_state(Branch.UP, 51, CavityCoupling(0.1, 50))

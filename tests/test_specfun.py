@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,22 @@ def test_laguerre_rejects_bad_arguments():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="x="):
             assoc_laguerre(3, 1, bad)
+
+
+@pytest.mark.parametrize(
+    "fn, n, k, x, name",
+    [
+        # unchecked, these gave (-inf, 1151.29...), (inf, ...), OverflowError and -inf
+        (assoc_laguerre_scaled, 3, 0, 1e200, "x"),
+        (assoc_laguerre_scaled, 3, 10**200, 0.5, "n+k"),
+        (assoc_laguerre_scaled, 1, 10**400, 0.5, "n+k"),
+        (assoc_laguerre, 3, 0, 1e200, "x"),
+    ],
+)
+def test_laguerre_refuses_input_it_cannot_compute(fn, n, k, x, name):
+    bound = "1e+58" if name == "x" else str(MAX_OVERLAP_INDEX)
+    with pytest.raises(ValueError, match=re.escape(bound) + ".*" + re.escape(f"got {name}=")):
+        fn(n, k, x)
 
 
 # ------------------------------------------------- displaced Fock overlap
