@@ -88,8 +88,7 @@ def exact_splitting(qubit: QubitSpec, cavity: CavityCoupling, n: int, k: int) ->
     """
     n = require_int("n", n)
     k = require_int("k", k)
-    if abs(qubit.bias - k) > 1e-9:
-        raise ValueError(f"resonance requires bias = k, got bias={qubit.bias}, k={k}")
+    _require_resonance(qubit, k)
     if n + k > cavity.n_max:
         raise ValueError(f"n+k={n + k} exceeds n_max={cavity.n_max}")
     pair_a = grwa_state(Branch.UP, n + k, cavity).branch(Branch.UP).real
@@ -125,13 +124,31 @@ class ComparisonRow:
     a_eff: float
 
 
-def _photon_grid(n_values: Iterable[int], k: int) -> list[int]:
-    """The distinct photon numbers in ascending order, each checked as an
-    integer >= 0 and the largest n + k against MAX_OVERLAP_INDEX."""
-    ns = sorted({require_int("n", n) for n in n_values})
+def _require_resonance(qubit: QubitSpec, k: int) -> None:
+    """Refuse bias != k; rounding first makes a k past float range a ValueError."""
+    if round(qubit.bias) != k or abs(qubit.bias - k) > 1e-9:
+        raise ValueError(f"resonance requires bias = k, got bias={qubit.bias}, k={k}")
+
+
+def _checked_cells(ns, ks, top: float, shift: float = 0.0) -> tuple[list[int], list[int]]:
+    """Every n and k as an int >= 0, once each cell of a grid over them at
+    couplings x <= top passes: n + k <= MAX_OVERLAP_INDEX, k <= MAX_BESSEL_ORDER,
+    n + shift >= 0, a finite Bessel argument 4 x sqrt(n + shift), a valid 2 x."""
+    ns = [require_int("n", n) for n in ns]
+    ks = [require_int("k", k) for k in ks]
+    require_overlap_index(max(ns, default=0), max(ks, default=0))
+    require_int("k", max(ks, default=0), 0, MAX_BESSEL_ORDER)
+    require_real("n + shift", min(ns, default=0) + shift, 0.0)
+    require_real("4 x sqrt(n)", 4.0 * top * math.sqrt(max(ns, default=0) + shift), 0.0)
+    _require_displacement(2.0 * top)
+    return ns, ks
+
+
+def _photon_grid(n_values: Iterable[int], k: int, coupling: float, shift: float = 0.0) -> list[int]:
+    """The distinct photon numbers in ascending order, every cell checked."""
+    ns = sorted(set(_checked_cells(n_values, [k], coupling, shift)[0]))
     if not ns:
         raise ValueError("empty photon-number grid")
-    require_overlap_index(ns[-1], k)
     return ns
 
 
@@ -146,28 +163,19 @@ def comparison_grid(
 
     Runs on the k-photon resonance (bias = k enforced).  Each row holds what
     rabi_freq_semiclassical and rabi_freq_quantum return for its n, bit for
-    bit; the quantum column comes from one Laguerre pass over the whole grid,
-    whose checks run before any Bessel evaluation.
+    bit: the quantum column is one Laguerre pass over the whole grid, the
+    semiclassical one a _bessel_column, and every cell is checked first.
     """
     k = require_int("k", k)
     coupling = require_real("coupling", coupling, 0.0)
     shift = require_real("shift", shift)
-    if abs(qubit.bias - k) > 1e-9:
-        raise ValueError(f"resonance requires bias = k, got bias={qubit.bias}, k={k}")
-    ns = _photon_grid(n_values, k)
-    overlaps = _overlap_grid(ns, k, 2.0 * coupling)
-    rows = []
-    for n, overlap in zip(ns, overlaps):
-        a_eff = equivalent_amplitude(coupling, n, shift)
-        rows.append(
-            ComparisonRow(
-                n=n,
-                omega_s=rabi_freq_semiclassical(qubit, a_eff, k),
-                omega_q=qubit.gap * overlap,
-                a_eff=a_eff,
-            )
-        )
-    return rows
+    _require_resonance(qubit, k)
+    ns = _photon_grid(n_values, k, coupling, shift)
+    # equivalent_amplitude's IEEE operations, lane by lane
+    a_eff = 4.0 * coupling * np.sqrt(np.array(ns, dtype=float) + shift)
+    omega_s = (qubit.gap * _bessel_column(k, a_eff)).tolist()
+    omega_q = [qubit.gap * q for q in _overlap_grid(ns, k, 2.0 * coupling)]
+    return [ComparisonRow(*row) for row in zip(ns, omega_s, omega_q, a_eff.tolist())]
 
 
 def agreement_onset(
@@ -216,21 +224,22 @@ def fit_amplitude_shift(
 
     Minimises sum_n [omega_s(a_eff(n, s)) - omega_q(n)]^2 for s in
     [-2, k/2 + 2] (the lower edge is raised to -min(n) so the radicand stays
-    nonnegative).  Raises FitDegenerateError when the objective is flat over
-    the bracket.
+    nonnegative) on the k-photon resonance (bias = k enforced), one
+    _bessel_column an evaluation, every cell checked before any work.
+    Raises FitDegenerateError when the objective is flat over the bracket.
     """
     k = require_int("k", k)
     coupling = require_real("coupling", coupling, 0.0, above=True)
-    ns = _photon_grid(n_values, k)
-
+    _require_resonance(qubit, k)
+    ns = _photon_grid(n_values, k, coupling)
+    n_floats = np.array(ns, dtype=float)
     # rabi_freq_quantum at each n, from one Laguerre pass
-    targets = [qubit.gap * v for v in _overlap_grid(ns, k, 2.0 * coupling)]
+    targets = qubit.gap * np.array(_overlap_grid(ns, k, 2.0 * coupling))
 
     def objective(s: float) -> float:
+        diffs = qubit.gap * _bessel_column(k, 4.0 * coupling * np.sqrt(n_floats + s)) - targets
         total = 0.0
-        for n, target in zip(ns, targets):
-            a_eff = 4.0 * coupling * math.sqrt(n + s)
-            diff = rabi_freq_semiclassical(qubit, a_eff, k) - target
+        for diff in diffs.tolist():
             total += diff * diff
         return total
 
@@ -297,20 +306,11 @@ def bessel_laguerre_identity_error_grid(
     errors[i][j][l] is the error at (xs[i], ns[j], ks[l]); values may come in
     any order and repeat.  One Laguerre pass per distinct (x, k) serves every
     n, the Bessel side of that column is one _bessel_column, and each error
-    equals the scalar function's bit for bit.  Every x, n and k is checked
-    before any recurrence or Bessel call, and so are the largest n + k
-    against MAX_OVERLAP_INDEX, the largest k against MAX_BESSEL_ORDER, the
-    largest Bessel argument and the largest displacement 2 x.
+    equals the scalar function's bit for bit.  Every x, n and k is checked,
+    and every cell by _checked_cells, before any recurrence or Bessel call.
     """
     xs = [require_real("x", x, 0.0) for x in xs]
-    ns = [require_int("n", n) for n in ns]
-    ks = [require_int("k", k) for k in ks]
-    require_overlap_index(max(ns, default=0), max(ks, default=0))
-    # the bounds the scalar bessel_j checks per cell; its argument grows with x and n
-    require_int("k", max(ks, default=0), 0, MAX_BESSEL_ORDER)
-    top = max(xs, default=0.0)
-    require_real("4 x sqrt(n)", 4.0 * top * math.sqrt(max(ns, default=0)), 0.0)
-    _require_displacement(2.0 * top)
+    ns, ks = _checked_cells(ns, ks, max(xs, default=0.0))
     roots = np.sqrt(np.array(ns, dtype=float))
     errors = []
     for x in xs:

@@ -478,6 +478,18 @@ def test_identity_sweep_refuses_its_last_column_before_any_work(capsys, monkeypa
     assert "n+k above supported range 1000000, got n+k=1000001" in err
 
 
+def test_rabi_freq_refuses_a_bessel_order_past_the_bound_before_any_work(capsys, monkeypatch):
+    # n + k = 910001 is in range: the Bessel order bound must refuse before the
+    # Laguerre pass up to n = 9e5, not after it
+    def no_work(*args):
+        raise AssertionError(f"work started before the order check: {args[:2]}")
+
+    monkeypatch.setattr("lzsim.specfun._laguerre_scaled_pass", no_work)
+    code, out, err = run_cli(capsys, "rabi-freq", "coupling=0.1", "k=10001", "n=0:900000:1000")
+    assert code == 2 and out == ""
+    assert "got k=10001" in err
+
+
 @pytest.mark.parametrize(
     "argv, rows",
     [

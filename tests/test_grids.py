@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lzsim import (
+    CavityCoupling,
     QubitSpec,
     assoc_laguerre_scaled,
     bessel_j,
     bessel_laguerre_identity_error,
     comparison_grid,
     displaced_fock_overlap,
+    exact_splitting,
     fit_amplitude_shift,
     rabi_freq_quantum,
     rabi_freq_semiclassical,
@@ -353,6 +355,38 @@ def test_identity_grid_checks_the_bessel_side_before_any_work(monkeypatch):
     # 4 x sqrt(n) overflows although x, n and 2x are all finite
     with pytest.raises(ValueError, match=r"got 4 x sqrt\(n\)=inf"):
         bessel_laguerre_identity_error_grid([0.1, 1e308], [0, 4], [0])
+
+
+def test_photon_grids_check_the_bessel_order_before_any_work(monkeypatch):
+    # n + k stays in range up to n = 9e5, so only the Bessel bound refuses;
+    # unchecked, a Laguerre pass up to 9e5 ran before the first Bessel call
+    _refuse_work(monkeypatch)
+    k = MAX_BESSEL_ORDER + 1
+    for grid in (comparison_grid, fit_amplitude_shift):
+        with pytest.raises(ValueError, match="got k=10001"):
+            grid(QubitSpec(0.01, float(k)), 0.1, k, range(0, 900_001, 1000))
+
+
+def test_comparison_grid_checks_n_plus_shift_before_any_work(monkeypatch):
+    _refuse_work(monkeypatch)
+    with pytest.raises(ValueError, match=r"got n \+ shift=-1\.0"):
+        comparison_grid(QubitSpec(0.01, 1.0), 0.1, 1, [0, 5], shift=-1.0)
+
+
+def test_every_resonant_entry_point_refuses_bias_off_k():
+    # bias 0 with k = 2 is off resonance for the fit as for the other two
+    with pytest.raises(ValueError, match="resonance requires bias = k"):
+        fit_amplitude_shift(QubitSpec(0.01, 0.0), 0.5, 2, range(100, 1001, 100))
+    # a k past float range is off resonance too, not an OverflowError
+    qubit, huge = QubitSpec(0.01, 1.0), 10**400
+    calls = [
+        lambda: comparison_grid(qubit, 0.1, huge, [1]),
+        lambda: fit_amplitude_shift(qubit, 0.1, huge, [1]),
+        lambda: exact_splitting(qubit, CavityCoupling(0.1, 10), 1, huge),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="resonance requires bias = k"):
+            call()
 
 
 @pytest.mark.parametrize("d", [1e200, 1e100, 1.0000001e29])
