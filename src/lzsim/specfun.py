@@ -11,8 +11,9 @@ routines are scalar.  The private `_overlap_grid` reads every requested
 photon number off one Laguerre recurrence, bit for bit what the scalar
 overlap returns cell by cell.  The private `_bessel_column` evaluates J_k
 over a column of x, one numpy pass per regime, bit for bit what `bessel_j`
-returns.  The private `_displaced_fock_column` builds a whole column
-<j| D(d) |m> from its own recurrence, with no Laguerre pass.
+returns, and on request J_{k+1} from the same Miller pass.  The private
+`_displaced_fock_column` builds a whole column <j| D(d) |m> from its own
+recurrence, with no Laguerre pass.
 
 Closed-form large-argument approximations of J_k (stationary-phase form and
 two adiabatic-impulse variants) live here as well; they are the analytic
@@ -62,7 +63,7 @@ def bessel_j(k: int, x: float) -> float:
         return 1.0 if k == 0 else 0.0
     if _series_regime(k, x):
         return _bessel_series(k, x)
-    return _bessel_miller(k, x)
+    return _bessel_miller(k, x)[0]
 
 
 def _series_regime(k: int, x):
@@ -115,12 +116,15 @@ def _miller_start(k: int, x: float) -> int:
     return start + (start & 1)
 
 
-def _bessel_miller(k: int, x: float) -> float:
+def _bessel_miller(k: int, x: float) -> tuple[float, float]:
+    """(J_k(x), J_{k+1}(x)) from one Miller pass: J_{k+1} is the trial value
+    the pass holds on reaching order k, normalised by the same sum."""
     two_over_x = 2.0 / x
     above = 0.0  # trial J_{m+1}
     cur = 1.0    # trial J_m
     sum_even = 1.0  # the start order is even and at least 20, so it counts
     target = 0.0  # trial J_k, rescaled with the rest once recorded
+    upper = 0.0  # trial J_{k+1}, likewise
 
     m = _miller_start(k, x)
     while m >= 1:
@@ -130,6 +134,7 @@ def _bessel_miller(k: int, x: float) -> float:
         m -= 1
         if m == k:
             target = cur
+            upper = above
         if m >= 2 and (m & 1) == 0:
             sum_even += cur
         if abs(cur) > _RESCALE:
@@ -137,12 +142,14 @@ def _bessel_miller(k: int, x: float) -> float:
             above /= _RESCALE
             sum_even /= _RESCALE
             target /= _RESCALE
+            upper /= _RESCALE
 
-    return target / (2.0 * sum_even + cur)  # cur is now the trial J_0
+    norm = 2.0 * sum_even + cur  # cur is now the trial J_0
+    return target / norm, upper / norm
 
 
-def _bessel_column(k: int, xs) -> np.ndarray:
-    """bessel_j(k, x) for every x in xs, as an array equal to it bit for bit.
+def _bessel_column(k: int, xs, pair: bool = False) -> np.ndarray:
+    """bessel_j(k, x) for every x in a 1-d xs, as an array equal to it bit for bit.
 
     Each lane takes the regime bessel_j takes.  The series lanes run the
     scalar's term recurrence as one numpy pass, each lane frozen at the step
@@ -150,19 +157,24 @@ def _bessel_column(k: int, xs) -> np.ndarray:
     _series_value.  The Miller lanes run one backward pass from the largest
     start order down, each lane switched on at its own start, so every lane
     sees the steps the scalar pass takes.  A regime with too few lanes for a
-    numpy pass to win calls the scalar routine lane by lane.  Arguments are
-    trusted: callers check them first.
+    numpy pass to win calls the scalar routine lane by lane.  With pair, the
+    result is the rows (J_k, J_{k+1}): Miller lanes take J_{k+1} from the
+    same pass, series lanes from the series at order k + 1, and row 0 is
+    still bessel_j bit for bit.  Arguments are trusted: callers check them
+    first.
     """
     xs = np.array(xs, dtype=float)
-    out = np.empty_like(xs)
+    out = np.empty((1 + pair, xs.size))
     zero = 0.5 * xs == 0.0  # x = 0, or subnormal x: J_0 = 1 and J_k underflows
-    out[zero] = 1.0 if k == 0 else 0.0
+    out[:, zero] = 0.0
+    out[0, zero] = 1.0 if k == 0 else 0.0
     with np.errstate(over="ignore"):  # x * x may overflow to inf, as in the scalar rule
         series = ~zero & _series_regime(k, xs)
     miller = ~(zero | series)
-    out[series] = _series_lanes(k, xs[series])
-    out[miller] = _miller_lanes(k, xs[miller])
-    return out
+    for row in range(1 + pair):
+        out[row, series] = _series_lanes(k + row, xs[series])
+    out[:, miller] = _miller_lanes(k, xs[miller])[: 1 + pair]
+    return out if pair else out[0]
 
 
 def _series_lanes(k: int, xs: np.ndarray):
@@ -189,8 +201,8 @@ def _series_lanes(k: int, xs: np.ndarray):
     return [_series_value(k, h, t) for h, t in zip(half.tolist(), totals.tolist())]
 
 
-def _miller_lanes(k: int, xs: np.ndarray):
-    """_bessel_miller(k, x) at every x in xs.
+def _miller_lanes(k: int, xs: np.ndarray) -> np.ndarray:
+    """_bessel_miller(k, x) at every x in xs, as the rows (J_k, J_{k+1}).
 
     Lanes are sorted by start order, largest first, so the live lanes of each
     step are a prefix.  The lanes with the highest starts go to the scalar
@@ -202,8 +214,9 @@ def _miller_lanes(k: int, xs: np.ndarray):
     starts = np.array(starts)[order]
     cost = np.cumsum(np.append(0, starts)) + _MIN_LANES * np.append(starts, 0)
     split = int(np.argmin(cost))
-    values = np.empty_like(xs)
-    values[order[:split]] = [_bessel_miller(k, x) for x in xs[order[:split]].tolist()]
+    values = np.empty((2, xs.size))
+    for lane, x in zip(order[:split].tolist(), xs[order[:split]].tolist()):
+        values[:, lane] = _bessel_miller(k, x)
     if split == xs.size:
         return values
     lanes, starts = order[split:], starts[split:].tolist()
@@ -212,6 +225,7 @@ def _miller_lanes(k: int, xs: np.ndarray):
     cur = np.empty(lanes.size)       # trial J_m
     sum_even = np.ones(lanes.size)   # each start order is even and at least 20
     target = np.zeros(lanes.size)    # trial J_k
+    upper = np.zeros(lanes.size)     # trial J_{k+1}
     live = 0
     for m in range(starts[0], 0, -1):
         if live < lanes.size and starts[live] == m:  # lanes whose pass starts here
@@ -224,13 +238,15 @@ def _miller_lanes(k: int, xs: np.ndarray):
         m -= 1
         if m == k:
             target[:live] = cur[:live]
+            upper[:live] = above[:live]
         if m >= 2 and (m & 1) == 0:
             sum_even[:live] += cur[:live]
         big = np.abs(cur[:live]) > _RESCALE
         if big.any():
-            for trial in (cur, above, sum_even, target):
+            for trial in (cur, above, sum_even, target, upper):
                 trial[:live][big] /= _RESCALE
-    values[lanes] = target / (2.0 * sum_even + cur)
+    norm = 2.0 * sum_even + cur
+    values[:, lanes] = target / norm, upper / norm
     return values
 
 

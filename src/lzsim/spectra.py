@@ -8,11 +8,11 @@ Two analytic expressions are compared throughout:
 Both are signed; magnitudes are a presentation choice left to callers.
 
 The field amplitude felt by the qubit for n photons is a = 4 c sqrt(n); the
-small empirical offset s in a_eff = 4 c sqrt(n + s) is fitted here by a
-golden-section search.  The two routes correspond only for large n and at
-the shifted amplitude: unshifted, J_k(4 c sqrt(n)) vanishes at n = 0 for
-k >= 1 while the overlap does not, and an O(c (k+1)/sqrt(n)) argument offset
-remains that relative errors magnify near Bessel zeros.
+small empirical offset s in a_eff = 4 c sqrt(n + s) is fitted here as a
+root of the least-squares gradient.  The two routes correspond only for
+large n and at the shifted amplitude: unshifted, J_k(4 c sqrt(n)) vanishes
+at n = 0 for k >= 1 while the overlap does not, and an O(c (k+1)/sqrt(n))
+argument offset remains that relative errors magnify near Bessel zeros.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .specfun import (
     require_overlap_index,
 )
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = 2.0 ** -52  # float64 machine epsilon, in _zeroin's stopping rule
 # the doublet weight exact_splitting's window may leave out on either side
 _WINDOW_TAIL = 1e-16
 
@@ -220,13 +220,24 @@ def fit_amplitude_shift(
     k: int,
     n_values: Iterable[int],
 ) -> ShiftFitResult:
-    """Least-squares offset s in a_eff = 4 c sqrt(n + s), by golden section.
+    """Least-squares offset s in a_eff = 4 c sqrt(n + s), as a root of the gradient.
 
-    Minimises sum_n [omega_s(a_eff(n, s)) - omega_q(n)]^2 for s in
-    [-2, k/2 + 2] (the lower edge is raised to -min(n) so the radicand stays
-    nonnegative) on the k-photon resonance (bias = k enforced), one
-    _bessel_column an evaluation, every cell checked before any work.
-    Raises FitDegenerateError when the objective is flat over the bracket.
+    Minimises f(s) = sum_n [omega_s(a_eff(n, s)) - omega_q(n)]^2 for s in
+    [lo, hi] = [-2, k/2 + 2] (lo raised to -min(n) so the radicand stays
+    nonnegative) on the k-photon resonance (bias = k enforced), every cell
+    checked before any work.  Each evaluation is one pair _bessel_column
+    (J_k and J_{k+1} from one pass) giving f and the gradient sum
+        g(s) = sum_n [omega_s - omega_q] dJ_k(a_n)/ds,
+        dJ_k/ds = ((k/a) J_k(a) - J_{k+1}(a)) 8 c^2 / a   (DLMF 10.6.2),
+    with its one-sided limit at a = 0: -4c^2 at k = 0, +inf at k = 1, 2c^2
+    at k = 2 and 0 above.  f and g are evaluated at five probes spanning
+    [lo, hi].  The candidates are a root of g, by Brent's zeroin to 1e-14,
+    in each probe interval where g goes from <= 0 to >= 0, lo if g(lo) > 0
+    and hi if g(hi) < 0; one always exists, and the fit is the candidate
+    with the lowest f.  Where f has several minima the fit is therefore a
+    local minimum, the lowest one the probes bracket, not necessarily the
+    global one.  A fit takes about 12 evaluations.  Raises
+    FitDegenerateError when f is flat over the probes.
     """
     k = require_int("k", k)
     coupling = require_real("coupling", coupling, 0.0, above=True)
@@ -235,40 +246,99 @@ def fit_amplitude_shift(
     n_floats = np.array(ns, dtype=float)
     # rabi_freq_quantum at each n, from one Laguerre pass
     targets = qubit.gap * np.array(_overlap_grid(ns, k, 2.0 * coupling))
+    evaluated = {}
 
-    def objective(s: float) -> float:
-        diffs = qubit.gap * _bessel_column(k, 4.0 * coupling * np.sqrt(n_floats + s)) - targets
-        total = 0.0
-        for diff in diffs.tolist():
-            total += diff * diff
-        return total
+    def gradient(s: float) -> float:
+        """g(s), with f(s) recorded in evaluated[s]."""
+        evaluated[s], g = _shift_objective(s, k, coupling, qubit.gap, n_floats, targets)
+        return g
 
     lo = max(-2.0, -float(ns[0]))
     hi = 0.5 * k + 2.0
-    probes = [objective(lo + f * (hi - lo)) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    if max(probes) - min(probes) < 1e-15:
+    probes = [lo + f * (hi - lo) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    grads = [gradient(s) for s in probes]
+    values = [evaluated[s] for s in probes]
+    if max(values) - min(values) < 1e-15:
         raise FitDegenerateError(
             f"shift objective varies by < 1e-15 over [{lo}, {hi}]; nothing to fit"
         )
 
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    # interval shrinks by 1/phi per step; 60 steps take (hi-lo) below 1e-12
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
+    candidates = [probes[0]] if grads[0] > 0.0 else []
+    if grads[-1] < 0.0:
+        candidates.append(probes[-1])
+    for a, b, ga, gb in zip(probes, probes[1:], grads, grads[1:]):
+        if ga <= 0.0 <= gb:
+            candidates.append(_zeroin(gradient, a, b, ga, gb, 1e-14))
+    best = min(candidates, key=evaluated.__getitem__)
+    return ShiftFitResult(offset=best, residual=math.sqrt(evaluated[best] / len(ns)))
+
+
+def _shift_objective(
+    s: float, k: int, coupling: float, gap: float, n_floats: np.ndarray, targets: np.ndarray
+) -> tuple[float, float]:
+    """fit_amplitude_shift's f(s) and g(s), from one pair _bessel_column.
+
+    g is never NaN: a lane with a = 0 (n + s = 0) takes the one-sided limit
+    of dJ_k/ds, so g may be -inf there (k = 1), with the sign of the limit.
+    """
+    roots = np.sqrt(n_floats + s)
+    a = 4.0 * coupling * roots
+    j, j_next = _bessel_column(k, a, pair=True)
+    diffs = gap * j - targets
+    total = 0.0
+    for diff in diffs.tolist():
+        total += diff * diff
+    c2 = coupling * coupling
+    zero = a == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = (k * j / a - j_next) * (2.0 * coupling / roots)
+        slopes[zero] = (-4.0 * c2, math.inf, 2.0 * c2)[k] if k <= 2 else 0.0
+        terms = diffs * slopes
+    if k == 1:  # 0 * inf where omega_q(n) = 0: the term tends to gap J_1 dJ_1/ds
+        terms[zero & (diffs == 0.0)] = 2.0 * gap * c2
+    return total, float(terms.sum())
+
+
+def _zeroin(func, a: float, b: float, fa: float, fb: float, tol: float) -> float:
+    """A zero of func in [a, b], where fa = func(a) and fb = func(b) differ in
+    sign or one is 0, to within 4 eps |x| + tol: Brent's zeroin (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4), inverse
+    quadratic or secant steps safeguarded by bisection.  An infinite fa or
+    fb only makes the first step a bisection."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0 and fc > 0.0) or (fb < 0.0 and fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) < tol1 or abs(fa) <= abs(fb):
+            d = e = m  # bisection
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-        if b - a < 1e-10:
-            break
-    best = 0.5 * (a + b)
-    return ShiftFitResult(offset=best, residual=math.sqrt(objective(best) / len(ns)))
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # written as an acceptance so that a NaN step is refused
+            if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = func(b)
 
 
 def predicted_shift(coupling: float, k: int) -> float:

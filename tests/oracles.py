@@ -41,21 +41,25 @@ def phase_ref(energy: float, t0: float, dt: float, j: int) -> complex:
         return complex(mp.expj(-mp.mpf(energy) * (mp.mpf(t0) + j * mp.mpf(dt))))
 
 
-def overlap_ref(n: int, k: int, d: float) -> float:
-    """<n+k| exp(d (adag - a)) |n> through the closed form, at 50 digits."""
+def _overlap_mp(n: int, k: int, d: float) -> mp.mpf:
     if d == 0.0:
-        return 1.0 if k == 0 else 0.0
+        return mp.mpf(1 if k == 0 else 0)
     dd = mp.mpf(d)
     lag = _laguerre_mp(n, k, dd * dd)
     if lag == 0:
-        return 0.0
+        return mp.mpf(0)
     log_mag = (
         -0.5 * dd * dd
         + k * mp.log(dd)
         + 0.5 * (mp.loggamma(n + 1) - mp.loggamma(n + k + 1))
         + mp.log(abs(lag))
     )
-    return float(mp.sign(lag) * mp.exp(log_mag))
+    return mp.sign(lag) * mp.exp(log_mag)
+
+
+def overlap_ref(n: int, k: int, d: float) -> float:
+    """<n+k| exp(d (adag - a)) |n> through the closed form, at 50 digits."""
+    return float(_overlap_mp(n, k, d))
 
 
 def overlap_matrix_ref(n: int, k: int, d: float, dim: int = 60) -> float:
@@ -128,3 +132,34 @@ def fit_offset_ref(gap: float, coupling: float, k: int, n_values) -> tuple[float
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     return float(res.x), math.sqrt(float(res.fun) / len(ns))
+
+
+def fit_offset_root_ref(gap: float, coupling: float, k: int, n_values, seed: float) -> float:
+    """The amplitude shift as a root of the least-squares gradient, at 40 digits.
+
+    g(s) = sum_n (gap J_k(a_n) - omega_q(n)) J_k'(a_n) 2c / sqrt(n + s) with
+    a_n = 4c sqrt(n + s), every J_k and J_k' from mpmath.besselj and every
+    omega_q from the 50-digit closed-form overlap; solved by the secant
+    method started at seed, so it finds the root next to a fit.
+    """
+    ns = sorted({int(n) for n in n_values})
+    with mp.workdps(40):
+        g_mp, c = mp.mpf(gap), mp.mpf(coupling)
+        targets = [g_mp * _overlap_mp(n, k, 2.0 * coupling) for n in ns]
+
+        def grad(s):
+            total = mp.mpf(0)
+            for n, target in zip(ns, targets):
+                root = mp.sqrt(n + s)
+                a = 4 * c * root
+                total += (g_mp * mp.besselj(k, a) - target) * mp.besselj(k, a, derivative=1) * 2 * c / root
+            return total
+
+        s0, s1 = mp.mpf(seed), mp.mpf(seed) + mp.mpf("1e-7")
+        g0, g1 = grad(s0), grad(s1)
+        for _ in range(40):
+            if g1 == g0 or abs(s1 - s0) < mp.mpf("1e-30"):
+                break
+            s0, s1 = s1, s1 - g1 * (s1 - s0) / (g1 - g0)
+            g0, g1 = g1, grad(s1)
+        return float(s1)

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from lzsim import (
     bessel_j_asymptotic,
     displaced_fock_overlap,
 )
-from lzsim.specfun import MAX_BESSEL_ORDER, MAX_OVERLAP_INDEX
+from lzsim.specfun import MAX_BESSEL_ORDER, MAX_OVERLAP_INDEX, _bessel_column
 
 
 # ---------------------------------------------------------------- bessel_j
@@ -103,6 +104,42 @@ def test_bessel_normalization(x):
     total = bessel_j(0, x) ** 2
     total += 2.0 * sum(bessel_j(k, x) ** 2 for k in range(1, top))
     assert abs(total - 1.0) < 1e-9
+
+
+# ------------------------------------------- J_k and J_{k+1} from one pass
+
+
+@pytest.mark.parametrize("lanes", [30, 200])
+@pytest.mark.parametrize("k", [0, 1, 5, 30])
+def test_pair_column_rows_equal_bessel_j_bit_for_bit(k, lanes):
+    # zero and subnormal lanes, then `lanes` series lanes (x <= 8) and as many
+    # Miller lanes: 30 go to the scalar routines, 200 to the numpy passes
+    series = [8.0 * (i + 1) / lanes for i in range(lanes)]
+    miller = [8.0 + 120.0 * (i + 1) / lanes for i in range(lanes)]
+    xs = [0.0, 5e-324] + series + miller
+    j, upper = _bessel_column(k, xs, pair=True)
+    assert j.tobytes() == np.array([bessel_j(k, x) for x in xs]).tobytes()
+    assert j.tobytes() == _bessel_column(k, xs).tobytes()
+    # series lanes sum the series at order k + 1, as bessel_j(k + 1, x) does there
+    assert upper[:2].tolist() == [0.0, 0.0]
+    assert upper[2 : 2 + lanes].tolist() == [bessel_j(k + 1, x) for x in series]
+
+
+@pytest.mark.parametrize(
+    "k, lo, hi, floor", [(0, 0.05, 120.0, 0.3), (30, 8.05, 29.95, 0.0), (200, 20.1, 30.0, 0.0)]
+)
+def test_pair_column_second_row_matches_extended_precision(k, lo, hi, floor):
+    # k = 30 on (8, 30) and k = 200 on (20, 30), where the pass rescales, are
+    # Miller's x < k range, with no zero of J_{k+1}; at k = 0 "away from
+    # zeros" is |J_1| at least 0.3 of its envelope sqrt(2/(pi x))
+    xs = np.linspace(lo, hi, 240)
+    upper = _bessel_column(k, xs, pair=True)[1]
+    # a one-lane column runs the scalar routines, the same steps lane by lane
+    assert upper.tolist() == [_bessel_column(k, [x], pair=True)[1, 0] for x in xs.tolist()]
+    ref = np.array([oracles.bessel_ref(k + 1, x) for x in xs.tolist()])
+    away = np.abs(ref) >= floor * np.sqrt(2.0 / (np.pi * xs))
+    assert away.sum() >= 120
+    assert np.max(np.abs(upper - ref)[away] / np.abs(ref)[away]) <= 1e-13
 
 
 # ---------------------------------------------------- associated Laguerre

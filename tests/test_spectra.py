@@ -16,10 +16,12 @@ from lzsim import (
     QubitSpec,
     adequate_n_max,
     agreement_onset,
+    bessel_j,
     bessel_laguerre_identity_error,
     comparison_grid,
     equivalent_amplitude,
     exact_splitting,
+    displaced_fock_overlap,
     figure_photon_grid,
     fit_amplitude_shift,
     grwa_state,
@@ -28,6 +30,7 @@ from lzsim import (
     rabi_freq_semiclassical,
     rabi_hamiltonian,
 )
+from lzsim.spectra import _shift_objective, _zeroin
 
 
 # ----------------------------------------------------- analytic frequencies
@@ -226,6 +229,153 @@ def test_fit_shift_matches_independent_minimizer():
         ref_offset, ref_residual = oracles.fit_offset_ref(0.01, coupling, k, ns)
         assert got.offset == pytest.approx(ref_offset, abs=1e-6)
         assert got.residual == pytest.approx(ref_residual, rel=1e-6, abs=1e-15)
+
+
+SHIFT_NS = range(100, 1001, 25)
+
+
+@pytest.mark.parametrize("coupling", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("k", [0, 2, 5])
+def test_fit_shift_is_the_root_of_the_gradient(coupling, k):
+    # a root pins its argument to rounding, a minimiser only to about sqrt(eps):
+    # golden section sat up to 1.7e-8 from this root, the zeroin fit 1.1e-10
+    fit = fit_amplitude_shift(QubitSpec(0.01, float(k)), coupling, k, SHIFT_NS)
+    ref = oracles.fit_offset_root_ref(0.01, coupling, k, SHIFT_NS, fit.offset)
+    assert abs(fit.offset - ref) <= 5e-10
+
+
+def _golden_section_shift(gap, coupling, k, ns):
+    """The fit's former rule: golden section on the objective, down to a 1e-10 bracket."""
+    qubit = QubitSpec(gap, float(k))
+    targets = [rabi_freq_quantum(qubit, coupling, n, k) for n in ns]
+
+    def objective(s):
+        return sum((gap * bessel_j(k, 4.0 * coupling * math.sqrt(n + s)) - t) ** 2
+                   for n, t in zip(ns, targets))
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = max(-2.0, -float(min(ns))), 0.5 * k + 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a >= 1e-10:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = objective(d)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("coupling", [0.1, 1.0])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_fit_shift_agrees_with_the_golden_section_it_replaced(coupling, k):
+    fit = fit_amplitude_shift(QubitSpec(0.01, float(k)), coupling, k, SHIFT_NS)
+    assert abs(fit.offset - _golden_section_shift(0.01, coupling, k, SHIFT_NS)) <= 1e-7
+
+
+@pytest.mark.parametrize("coupling", [0.1, 1.0])
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_fit_shift_makes_few_kernel_passes(monkeypatch, coupling, k):
+    # golden section made 59-60; five probes and one zeroin make 9-20
+    import lzsim.spectra as spectra
+
+    passes = []
+    column = spectra._bessel_column
+
+    def counting(*args, **kwargs):
+        passes.append(args[0])
+        return column(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_bessel_column", counting)
+    fit_amplitude_shift(QubitSpec(0.01, float(k)), coupling, k, SHIFT_NS)
+    assert 6 <= len(passes) <= 20
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_shift_gradient_at_a_zero_radicand_is_the_one_sided_limit(k):
+    # n = 0 at s = lo = 0: a = 0, where the factor 8c^2/a divides by zero; the
+    # limit of dJ_k/ds is -4c^2, +inf and 2c^2 at k = 0, 1, 2
+    gap, coupling = 0.01, 0.5
+    ns = np.arange(0.0, 11.0)
+    targets = gap * np.array([displaced_fock_overlap(n, k, 2.0 * coupling) for n in range(11)])
+    f0, g0 = _shift_objective(0.0, k, coupling, gap, ns, targets)
+    f1, g1 = _shift_objective(1e-24, k, coupling, gap, ns, targets)
+    assert f0 == pytest.approx(f1, rel=1e-9)
+    if k == 1:  # J_1 rises like sqrt(s) toward omega_q(0) > 0
+        assert g0 == -math.inf and g1 < -1e3
+    else:
+        assert math.isfinite(g0) and g0 == pytest.approx(g1, rel=1e-6)
+    # where omega_q(0) = 0 the k = 1 term is 0 * inf; it tends to 2 gap c^2
+    g0 = _shift_objective(0.0, k, coupling, gap, ns[:1], np.zeros(1))[1]
+    g1 = _shift_objective(1e-24, k, coupling, gap, ns[:1], np.zeros(1))[1]
+    assert g0 == pytest.approx(g1, rel=1e-9, abs=1e-15)
+    assert g0 == pytest.approx((-4.0, 2.0, 0.0)[k] * gap * coupling**2, rel=1e-15)
+    fit = fit_amplitude_shift(QubitSpec(gap, float(k)), coupling, k, range(0, 11))
+    assert math.isfinite(fit.offset) and math.isfinite(fit.residual)
+
+
+def test_fit_shift_with_several_minima_is_the_lowest_candidate():
+    # c = 3 on n = 0..10: f has several minima.  f and g are rebuilt from scipy
+    # primitives, the candidates by the fit's rule: a -/+ root of g in each
+    # probe interval where g goes from <= 0 to >= 0, lo if g(lo) > 0, hi if
+    # g(hi) < 0.  The fit must be one of them, the one with the lowest f.
+    from scipy.optimize import brentq
+    from scipy.special import jv, jvp
+
+    gap, coupling, ns = 0.01, 3.0, range(0, 11)
+    counts = []
+    for k in (0, 1, 2, 5):
+        targets = [gap * oracles.overlap_ref(n, k, 2.0 * coupling) for n in ns]
+
+        def f(s):
+            return sum((gap * jv(k, 4.0 * coupling * math.sqrt(n + s)) - t) ** 2
+                       for n, t in zip(ns, targets))
+
+        def g(s):
+            total = 0.0
+            for n, t in zip(ns, targets):
+                if n + s == 0.0:  # the one-sided limits at a = 0
+                    total += ((gap - t) * -4.0 * coupling**2, -math.inf * t,
+                              -t * 2.0 * coupling**2)[k] if k <= 2 else 0.0
+                    continue
+                a = 4.0 * coupling * math.sqrt(n + s)
+                total += (gap * jv(k, a) - t) * jvp(k, a) * 2.0 * coupling / math.sqrt(n + s)
+            return total
+
+        lo, hi = 0.0, 0.5 * k + 2.0
+        probes = [lo + q * (hi - lo) for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        grads = [g(s) for s in probes]
+        candidates = ([lo] if grads[0] > 0.0 else []) + ([hi] if grads[-1] < 0.0 else [])
+        candidates += [brentq(g, a, b, xtol=1e-14)
+                       for a, b, ga, gb in zip(probes, probes[1:], grads, grads[1:])
+                       if ga <= 0.0 <= gb]
+        counts.append(len(candidates))
+
+        fit = fit_amplitude_shift(QubitSpec(gap, float(k)), coupling, k, ns)
+        if fit.offset == lo:
+            assert g(lo) > 0.0
+        elif fit.offset == hi:
+            assert g(hi) < 0.0
+        else:
+            assert g(fit.offset - 1e-7) < 0.0 < g(fit.offset + 1e-7)
+        assert f(fit.offset) <= min(f(s) for s in candidates) * (1.0 + 1e-9)
+    assert max(counts) >= 2
+
+
+def test_zeroin_starts_from_an_infinite_end_and_stops_at_the_tolerance():
+    calls = []
+
+    def func(s):
+        calls.append(s)
+        return -math.inf if s == 0.0 else math.expm1(s) - 0.3
+
+    root = _zeroin(func, 0.0, 1.0, -math.inf, math.expm1(1.0) - 0.3, 1e-14)
+    assert abs(root - math.log1p(0.3)) <= 1e-14
+    assert 0.0 not in calls and len(calls) <= 12
+    assert _zeroin(func, 0.5, 1.0, 0.0, 1.0, 1e-14) == 0.5  # a zero end is the root
 
 
 def test_fit_shift_recovers_half_integer_rule():
