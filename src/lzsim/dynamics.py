@@ -25,7 +25,11 @@ rather than on the whole window at once.  The sample grid is uniform, so
 a mode's phase exp(-i E t) at the r-th sample after a block start t_b is
 the product of a block factor exp(-i E t_b), one exp per block of samples,
 and an in-block factor exp(-i E r dt) from one table per call: one complex
-product per mode and sample instead of one exp.
+product per mode and sample instead of one exp.  The state is then built
+core by core: each core's rows of the modes that reach it form one real
+block, one product per core and chunk of samples gives its amplitudes, and
+the population, norm and quadrature are reduced from that small result
+while it is still in cache; no array spans the window and the samples.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ from .models import (
     SemiclassicalDrive,
     _NORM_TOL,
     _TRUNCATION_LEAK_TOL,
+    _centred_eigh,
     _require_memory,
-    rabi_hamiltonian,
 )
 
 #: integration steps per drive period for the driven propagator
@@ -344,16 +348,16 @@ def _require_tile_memory(levels: int, tile_levels: int) -> None:
 
     The estimate, in doubles, counts the largest tile's dense eigh (5 T^2
     + 6 T at tile dimension T, see require_dense_memory), the kept modes
-    (each of the window's 2L modes stored on at most T rows), the in-block
-    phase tables of traces (_PHASE_BLOCK complex values per mode) and its
-    sample chunk buffers (per sample, about 6 T for the phase factors and
-    tile products and 6 L for the window's real and imaginary parts and
-    densities).
+    and their copy in the core blocks (each of the window's 2L modes stored
+    on at most T rows, twice), the in-block phase table of traces
+    (_PHASE_BLOCK complex values per mode) and its sample chunk buffers:
+    per sample, 4 per mode for the real phase buffer and its complex source,
+    and 6 T for a core's product, the one before it and their squares.
     """
     tile, dim = 2 * tile_levels, 2 * levels
     need = 8 * (
-        5 * tile * tile + 6 * tile + tile * dim + 2 * _PHASE_BLOCK * dim
-        + _SAMPLE_CHUNK * (6 * tile + 3 * dim)
+        5 * tile * tile + 6 * tile + 2 * tile * dim + 2 * _PHASE_BLOCK * dim
+        + _SAMPLE_CHUNK * (6 * tile + 4 * dim)
     )
     _require_memory(
         need, f"diagonalising Fock tiles of dimension {tile} on a window of dimension {dim}"
@@ -378,6 +382,37 @@ def _cross_tile_overlap(tiles) -> float:
     return worst
 
 
+def _core_blocks(tiles, bounds):
+    """One real block per core of the tiling `bounds`, in window order.
+
+    Each entry is (core start, core stop, first mode, end mode, block): the
+    block holds the core's rows of both branches, up rows first, of the kept
+    modes first..end-1 of the tiles concatenated in order, which are the
+    modes of every tile whose rows reach the core (the core's own tile and
+    at most its two neighbours).  A (row, mode) pair outside the mode's tile
+    is zero.
+    """
+    offsets = np.cumsum([0] + [energies.size for _, energies, _ in tiles])
+    cores = []
+    for _, _, core_start, core_stop in bounds:
+        reach = [
+            j for j, (start, _, modes) in enumerate(tiles)
+            if start < core_stop and start + modes.shape[0] // 2 > core_start
+        ]
+        first, end = int(offsets[reach[0]]), int(offsets[reach[-1] + 1])
+        block = np.zeros((2, core_stop - core_start, end - first))
+        for j in reach:
+            start, _, modes = tiles[j]
+            rows = modes.shape[0] // 2
+            top, bottom = max(core_start, start), min(core_stop, start + rows)
+            block[:, top - core_start : bottom - core_start,
+                  offsets[j] - first : offsets[j + 1] - first] = (
+                modes.reshape(2, rows, -1)[:, top - start : bottom - start]
+            )
+        cores.append((core_start, core_stop, first, end, block.reshape(-1, end - first)))
+    return cores
+
+
 def _sample_phases(energies, coeff, starts, in_block, samples):
     """coeff exp(-i E t) at `samples` uniform samples, shape (modes, samples).
 
@@ -395,15 +430,21 @@ class SpectralEvolution:
     """Diagonalize-once evolution of the coupled qubit-oscillator model.
 
     The joint Hamiltonian on the cavity's Fock window n_min..n_max is
-    diagonalized at construction, tile by tile along the Fock ladder; traces
-    for any number of initial states and grids then cost one pair of real
-    matrix products per tile and batch of samples, and unitarity is exact up
-    to rounding because evolution is a pure phase rotation.  The phases come
-    from two small tables per tile: exp(-i E t) at the first sample of each
-    block of 32 (with the mode's initial coefficient folded in), and
-    exp(-i E r dt) for the offsets r = 0..31 within a block, built once per
-    call.  Each sample's phase is one complex product of the two, and at
-    block starts it equals the direct exp(-i E t).
+    diagonalized at construction, tile by tile along the Fock ladder, and
+    unitarity is exact up to rounding because evolution is a pure phase
+    rotation.  The phases come from two small tables over all kept modes:
+    exp(-i E t) at the first sample of each block of 32 (with the mode's
+    initial coefficient folded in), and exp(-i E r dt) for the offsets
+    r = 0..31 within a block, built once per call.  Each sample's phase is
+    one complex product of the two, and at block starts it equals the direct
+    exp(-i E t).  A chunk of 512 samples writes them once into one real
+    buffer, real parts then imaginary parts.  Traces for any number of
+    initial states and grids then cost one real matrix product per core and
+    chunk: the core's block, its rows of both branches against the modes of
+    the (at most three) tiles that reach it, times those modes' rows of the
+    buffer.  Population, norm and quadrature are reduced from each core's
+    result; the quadrature pair across a core edge takes the previous
+    core's last row.
 
     Every eigenmode is localized on a few dozen levels around its centre
     sum_m m |v_m|^2.  The window is covered by cores of M levels, first
@@ -422,11 +463,11 @@ class SpectralEvolution:
     whole window.
 
     Construction raises ResourceLimitError, before allocating anything,
-    when the tiles, the kept modes and the sample buffers of traces would
-    not fit in physical memory.  Each initial state must live on the same
-    window and may hold at most 1e-8 of its norm in the outer 5% of the
-    window's levels at either edge (only the top edge when n_min = 0);
-    otherwise TruncationError.
+    when the tiles, the kept modes, the core blocks and the sample buffers
+    of traces would not fit in physical memory.  Each initial state must
+    live on the same window and may hold at most 1e-8 of its norm in the
+    outer 5% of the window's levels at either edge (only the top edge when
+    n_min = 0); otherwise TruncationError.
     """
 
     def __init__(self, qubit: QubitSpec, cavity: CavityCoupling):
@@ -438,6 +479,7 @@ class SpectralEvolution:
         self._margin = margin
         # (tile start, energies, modes on the tile's rows of both branches)
         self._tiles = tiles
+        self._cores = _core_blocks(tiles, _tile_bounds(cavity.levels, margin))
 
     def _diagonalise_tiles(self, margin):
         """The kept modes of each tile at this margin, or None if they fail a check."""
@@ -447,13 +489,9 @@ class SpectralEvolution:
         tiles, leak = [], 0.0
         for start, stop, core_start, core_stop in bounds:
             tile = CavityCoupling(cav.coupling, cav.n_min + stop - 1, cav.n_min + start)
-            # diagonalise about the tile's middle level: eigh's rounding scales
-            # with the norm of its input, n_max unshifted, and it sets how
-            # differently two tiles resolve a near-degenerate pair they share
-            h = rabi_hamiltonian(self.qubit, tile)
-            shift = float(tile.n_min + (stop - start) // 2)
-            h.reshape(-1)[:: h.shape[0] + 1] -= shift
-            energies, modes = np.linalg.eigh(h)
+            # diagonalised about the tile's middle level: eigh's rounding sets
+            # how differently two tiles resolve a near-degenerate pair they share
+            shift, energies, modes = _centred_eigh(self.qubit, tile)
             energies += shift
             weight = modes.reshape(2, stop - start, -1) ** 2
             weight = weight[0] + weight[1]
@@ -496,10 +534,11 @@ class SpectralEvolution:
                     f"n_min={cav.n_min}, n_max={cav.n_max}; widen it"
                 )
         amplitudes = initial.amplitudes.reshape(2, levels)
-        return [
+        # the initial state's coefficients on the kept modes, in tile order
+        return np.concatenate([
             modes.T @ amplitudes[:, start : start + modes.shape[0] // 2].reshape(-1)
             for start, _, modes in self._tiles
-        ]
+        ])
 
     def traces(
         self,
@@ -509,45 +548,45 @@ class SpectralEvolution:
     ) -> tuple[PopulationTrace, QuadratureTrace | None]:
         """Population trace and, optionally, the quadrature trace."""
         coeffs = self._prepare(initial)
+        energies = np.concatenate([energies for _, energies, _ in self._tiles])
         times = grid.times()
-        levels = self.cavity.levels
         root = np.sqrt(np.arange(self.cavity.n_min + 1, self.cavity.n_max + 1))
-        p = np.empty(times.size)
-        x = np.empty(times.size) if quadrature else None
+        p = np.zeros(times.size)
+        x = np.zeros(times.size) if quadrature else None
         # linspace's own step, so that t0 + r dt is sample r up to rounding
         dt = (grid.t1 - grid.t0) / (grid.samples - 1)
-        offsets = -1j * (dt * np.arange(_PHASE_BLOCK))
-        in_block = [np.exp(np.outer(energies, offsets)) for _, energies, _ in self._tiles]
+        in_block = np.exp(np.outer(energies, -1j * (dt * np.arange(_PHASE_BLOCK))))
+        buffer = np.empty(2 * energies.size * min(times.size, _SAMPLE_CHUNK))
 
         for lo in range(0, times.size, _SAMPLE_CHUNK):
             t = times[lo : lo + _SAMPLE_CHUNK]
-            re = np.zeros((2, levels, t.size))
-            im = np.zeros((2, levels, t.size))
-            starts = t[::_PHASE_BLOCK]
-            for (start, energies, modes), coeff, table in zip(self._tiles, coeffs, in_block):
-                rot = _sample_phases(energies, coeff, starts, table, t.size)
-                rows = slice(start, start + modes.shape[0] // 2)
-                # keep the eigenvector matrix real (two real products instead
-                # of one complex product against an upcast copy); the
-                # contiguous copies keep matmul on its fast path
-                re[:, rows] += (modes @ np.ascontiguousarray(rot.real)).reshape(2, -1, t.size)
-                im[:, rows] += (modes @ np.ascontiguousarray(rot.imag)).reshape(2, -1, t.size)
-            re = re.reshape(2 * levels, t.size)
-            im = im.reshape(2 * levels, t.size)
-            dens = re * re + im * im
-            norm = dens.sum(axis=0)
+            n = t.size
+            rot = _sample_phases(energies, coeffs, t[::_PHASE_BLOCK], in_block, n)
+            # real then imaginary parts side by side: one real product per
+            # core gives both parts of its amplitudes
+            phases = buffer[: 2 * energies.size * n].reshape(energies.size, 2 * n)
+            phases[:, :n] = rot.real
+            phases[:, n:] = rot.imag
+            del rot  # not held while the next chunk builds its own
+            norm = np.zeros(n)
+            for start, stop, first, end, block in self._cores:
+                amp = (block @ phases[first:end]).reshape(2, stop - start, 2 * n)
+                dens = (amp * amp).sum(axis=1)
+                dens = dens[:, :n] + dens[:, n:]
+                norm += dens[0] + dens[1]
+                p[lo : lo + n] += dens[1]
+                if quadrature:
+                    weights = root[start : stop - 1]
+                    pair = weights @ (amp[0, :-1] * amp[0, 1:])
+                    pair += weights @ (amp[1, :-1] * amp[1, 1:])
+                    if start > 0:
+                        # the pair across the core boundary
+                        pair += root[start - 1] * np.sum(last * amp[:, 0], axis=0)
+                    last = amp[:, -1].copy()
+                    x[lo : lo + n] += pair[:n] + pair[n:]
             drift = float(np.max(np.abs(norm - 1.0)))
             if drift > _NORM_TOL:
                 raise NormDriftError(f"eigenbasis norm drift {drift:.3e}")
-            p[lo : lo + t.size] = dens[levels:].sum(axis=0)
-            if quadrature:
-                cross = np.zeros(t.size)
-                for block in (slice(0, levels), slice(levels, 2 * levels)):
-                    rb, ib = re[block], im[block]
-                    cross += np.einsum(
-                        "m,mj->j", root, rb[:-1] * rb[1:] + ib[:-1] * ib[1:]
-                    )
-                x[lo : lo + t.size] = cross
 
         pop = PopulationTrace(times, np.clip(p, 0.0, 1.0))
         return pop, (QuadratureTrace(times, x) if quadrature else None)

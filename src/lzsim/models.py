@@ -131,6 +131,24 @@ def rabi_hamiltonian(qubit: QubitSpec, cavity: CavityCoupling) -> np.ndarray:
     return h
 
 
+def _centred_eigh(
+    qubit: QubitSpec, window: CavityCoupling
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """eigh of rabi_hamiltonian(qubit, window) about the window's middle level.
+
+    Returns (shift, energies, modes); the eigenvalues are shift + energies.
+    eigh's rounding scales with the norm of its input: n_max unshifted, the
+    window's width once the middle level is subtracted from the diagonal.
+    A difference of two eigenvalues keeps that accuracy only when it is
+    taken before the shift is added back.
+    """
+    h = rabi_hamiltonian(qubit, window)
+    shift = float(window.n_min + window.levels // 2)
+    h.reshape(-1)[:: h.shape[0] + 1] -= shift
+    energies, modes = np.linalg.eigh(h)
+    return shift, energies, modes
+
+
 def _cutoff_pad(mean_occupation: float, coupling: float) -> tuple[float, int]:
     """The checked mean, and the levels the coupling's displacement adds
     beyond either cutoff: ceil(4 c^2 + 8 c)."""

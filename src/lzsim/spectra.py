@@ -28,8 +28,8 @@ from .models import (
     Branch,
     CavityCoupling,
     QubitSpec,
+    _centred_eigh,
     grwa_state,
-    rabi_hamiltonian,
     require_dense_memory,
 )
 from .specfun import (
@@ -78,9 +78,11 @@ def exact_splitting(qubit: QubitSpec, cavity: CavityCoupling, n: int, k: int) ->
     Builds the doublet's two displaced Fock columns on the caller's cavity
     (grwa_state, so its TruncationError guards them) and diagonalises the
     joint Hamiltonian on the resonance bias = k over a Fock window around
-    them.  The window runs from the first to the last row outside which the
-    summed squared tails of both columns stay below 1e-16, widened on each
-    side by half its width (at least one row) and clipped to the cavity.
+    them, about the window's middle level, so that the splitting's rounding
+    is about eps times the window's width rather than eps n.  The window
+    runs from the first to the last row outside which the summed squared
+    tails of both columns stay below 1e-16, widened on each side by half
+    its width (at least one row) and clipped to the cavity.
     The two eigenvectors with the largest summed squared overlap against the
     columns cut to the window are the doublet; their mean captured weight
     must reach 0.8.  Raises ResourceLimitError, before allocating, when the
@@ -100,7 +102,7 @@ def exact_splitting(qubit: QubitSpec, cavity: CavityCoupling, n: int, k: int) ->
     lo, hi = max(0, lo - half), min(weight.size - 1, hi + half)
     window = CavityCoupling(cavity.coupling, cavity.n_min + hi, cavity.n_min + lo)
     require_dense_memory(window.dim)
-    energies, modes = np.linalg.eigh(rabi_hamiltonian(qubit, window))
+    _, energies, modes = _centred_eigh(qubit, window)
     levels = window.levels
     weights = (modes[:levels].T @ pair_a[lo : hi + 1]) ** 2
     weights += (modes[levels:].T @ pair_b[lo : hi + 1]) ** 2

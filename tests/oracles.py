@@ -163,3 +163,78 @@ def fit_offset_root_ref(gap: float, coupling: float, k: int, n_values, seed: flo
             s0, s1 = s1, s1 - g1 * (s1 - s0) / (g1 - g0)
             g0, g1 = g1, grad(s1)
         return float(s1)
+
+
+def _solve_banded(rows, rhs, width):
+    """x with A x = rhs, A given as one {column: value} dict per row and zero
+    beyond `width` of its diagonal; Gaussian elimination with partial
+    pivoting, which widens the upper band to 2 width."""
+    rows, rhs = [dict(row) for row in rows], list(rhs)
+    size = len(rows)
+    for j in range(size):
+        below = range(j, min(size, j + width + 1))
+        pivot = max(below, key=lambda i: abs(rows[i].get(j, 0)))
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        rhs[j], rhs[pivot] = rhs[pivot], rhs[j]
+        for i in below[1:]:
+            factor = rows[i].pop(j, 0) / rows[j][j]
+            if factor:
+                for col, value in rows[j].items():
+                    if col > j:
+                        rows[i][col] = rows[i].get(col, 0) - factor * value
+                rhs[i] -= factor * rhs[j]
+    x = [mp.mpf(0)] * size
+    for i in reversed(range(size)):
+        tail = mp.fsum(value * x[col] for col, value in rows[i].items() if col > i)
+        x[i] = (rhs[i] - tail) / rows[i][i]
+    return x
+
+
+def splitting_ref(
+    gap: float, bias: float, coupling: float, n: int, k: int, reach: int = 80
+) -> float:
+    """Eigenvalue gap of the doublet ((up, n+k), (down, n)) at 40 digits.
+
+    The qubit-oscillator Hamiltonian is built on the levels within `reach`
+    of the doublet, with up and down interleaved level by level so that it
+    is banded with width 2, and gap, bias and coupling taken as exact.  Both
+    doublet members have the displaced-oscillator energy n + k/2 - c^2 at
+    gap 0, the next eigenvalues lie about 1 away, so numpy's two eigenvalues
+    nearest it seed a fixed-shift inverse iteration with a banded LU; each
+    eigenvalue is the Rayleigh quotient of the converged vector.
+    """
+    lo, hi = max(0, n - reach), n + k + reach
+    levels = hi - lo + 1
+    with mp.workdps(40):
+        g, b, c = mp.mpf(gap), mp.mpf(bias), mp.mpf(coupling)
+        rows = [{} for _ in range(2 * levels)]
+        for i in range(levels):
+            m = lo + i
+            up, down = 2 * i, 2 * i + 1
+            rows[up][up], rows[down][down] = m - b / 2, m + b / 2
+            rows[up][down] = rows[down][up] = -g / 2
+            if i + 1 < levels:
+                ladder = c * mp.sqrt(m + 1)
+                rows[up][up + 2] = rows[up + 2][up] = -ladder
+                rows[down][down + 2] = rows[down + 2][down] = ladder
+        dense = np.zeros((2 * levels, 2 * levels))
+        for i, row in enumerate(rows):
+            for j, value in row.items():
+                dense[i, j] = float(value)
+        centre = n + 0.5 * k - coupling * coupling
+        seeds = sorted(np.linalg.eigvalsh(dense), key=lambda e: abs(e - centre))[:2]
+        energies = []
+        for seed in seeds:
+            sigma = mp.mpf(seed)
+            shifted = [
+                {j: v - sigma if i == j else v for j, v in row.items()}
+                for i, row in enumerate(rows)
+            ]
+            x = [mp.mpf(1) + mp.mpf(i) / len(rows) for i in range(len(rows))]
+            for _ in range(8):
+                x = _solve_banded(shifted, x, 2)
+                scale = mp.sqrt(mp.fsum(v * v for v in x))
+                x = [v / scale for v in x]
+            hx = [mp.fsum(value * x[j] for j, value in row.items()) for row in shifted]
+            energies.append(sigma + mp.fsum(u * v for u, v in zip(x, hx)))
+        return float(abs(energies[0] - energies[1]))

@@ -409,10 +409,10 @@ def test_evolve_refuses_sample_times_beyond_phase_resolution(capsys):
 def test_evolve_refuses_a_diagonalisation_beyond_memory(capsys, monkeypatch):
     # at mean 1e6 and coupling 2.5 the tile margin (10,073 levels) exceeds a
     # third of the window, so the window of dimension 40,262 is one tile:
-    # about 79 GB for its eigh, kept modes and sample buffers.  The guard
-    # must fire before the evolution or the coherent state allocates
-    # anything.  The memory reading is capped at 32 GiB so that a host with
-    # more would still refuse rather than start the run.
+    # about 92 GB for its eigh, kept modes, core blocks and sample buffers.
+    # The guard must fire before the evolution or the coherent state
+    # allocates anything.  The memory reading is capped at 32 GiB so that a
+    # host with more would still refuse rather than start the run.
     import tracemalloc
 
     import lzsim.models

@@ -608,31 +608,33 @@ def test_modes_mixed_across_tiles_widen_the_margin(monkeypatch):
 def _direct_phase_traces(evo, initial, grid):
     """p_down and x_mean with one exp(-i E t) per mode and sample.
 
-    The synthesis traces ran before it built phases from block and in-block
-    tables; same tiles, same chunks, same products.
+    The same cores, chunks and products as traces, but each phase is a
+    direct exp; p_down is summed core by core as traces sums it, and x_mean
+    over the whole window assembled from the core products.
     """
     coeffs = evo._prepare(initial)
+    energies = np.concatenate([energies for _, energies, _ in evo._tiles])
     times = grid.times()
     levels = evo.cavity.levels
     root = np.sqrt(np.arange(evo.cavity.n_min + 1, evo.cavity.n_max + 1))
     p, x = np.empty(times.size), np.empty(times.size)
     for lo in range(0, times.size, dynamics._SAMPLE_CHUNK):
         t = times[lo : lo + dynamics._SAMPLE_CHUNK]
-        re = np.zeros((2, levels, t.size))
-        im = np.zeros((2, levels, t.size))
-        for (start, energies, modes), coeff in zip(evo._tiles, coeffs):
-            rot = np.exp(np.outer(energies, -1j * t)) * coeff[:, None]
-            rows = slice(start, start + modes.shape[0] // 2)
-            re[:, rows] += (modes @ np.ascontiguousarray(rot.real)).reshape(2, -1, t.size)
-            im[:, rows] += (modes @ np.ascontiguousarray(rot.imag)).reshape(2, -1, t.size)
-        re = re.reshape(2 * levels, t.size)
-        im = im.reshape(2 * levels, t.size)
-        p[lo : lo + t.size] = (re * re + im * im)[levels:].sum(axis=0)
-        cross = np.zeros(t.size)
-        for block in (slice(0, levels), slice(levels, 2 * levels)):
-            rb, ib = re[block], im[block]
+        n = t.size
+        rot = np.exp(np.outer(energies, -1j * t)) * coeffs[:, None]
+        phases = np.concatenate((rot.real, rot.imag), axis=1)
+        re, im = np.empty((2, levels, n)), np.empty((2, levels, n))
+        down = np.zeros(n)
+        for start, stop, first, end, block in evo._cores:
+            amp = (block @ phases[first:end]).reshape(2, stop - start, 2 * n)
+            re[:, start:stop], im[:, start:stop] = amp[:, :, :n], amp[:, :, n:]
+            dens = (amp[1] * amp[1]).sum(axis=0)
+            down += dens[:n] + dens[n:]
+        p[lo : lo + n] = down
+        cross = np.zeros(n)
+        for rb, ib in zip(re, im):
             cross += root @ (rb[:-1] * rb[1:] + ib[:-1] * ib[1:])
-        x[lo : lo + t.size] = cross
+        x[lo : lo + n] = cross
     return np.clip(p, 0.0, 1.0), x
 
 
@@ -659,7 +661,9 @@ def test_factorised_phases_match_one_exp_per_sample(mean1000_evolution, samples,
     _assert_phases_match_direct(evo, initial, TimeGrid(37.5, 222.5, samples), quadrature)
 
 
-def test_factorised_phases_with_a_tile_that_keeps_no_mode():
+@pytest.fixture(scope="module")
+def empty_tile_evolution():
+    """Bias 20.5 at mean 1000 and coupling 0.3, where the last tile keeps no mode."""
     mean, coupling = 1000.0, 0.3
     n_max, n_min = adequate_n_max(mean, coupling), adequate_n_min(mean, coupling)
     evo = SpectralEvolution(QubitSpec(0.4, 20.5), CavityCoupling(coupling, n_max, n_min))
@@ -667,7 +671,69 @@ def test_factorised_phases_with_a_tile_that_keeps_no_mode():
     initial = JointState.from_product(
         QubitState.down(), coherent_state(math.sqrt(mean), n_max, n_min), n_max, n_min
     )
+    return evo, initial
+
+
+def test_factorised_phases_with_a_tile_that_keeps_no_mode(empty_tile_evolution):
+    evo, initial = empty_tile_evolution
     _assert_phases_match_direct(evo, initial, TimeGrid(-20.0, 45.0, 513), True)
+
+
+@pytest.mark.parametrize("case", ["tiles", "one tile", "empty tile"])
+def test_core_blocks_hold_every_kept_mode_pair_once(
+    mean1000_evolution, empty_tile_evolution, case
+):
+    # scattered back onto the window, the core blocks are each tile's kept
+    # modes on that tile's rows: no (row, mode) pair dropped or counted twice
+    if case == "tiles":
+        evo, _ = mean1000_evolution
+    elif case == "one tile":
+        evo = SpectralEvolution(QubitSpec(0.4, 2.0), CavityCoupling(0.25, 80))
+        assert len(evo._tiles) == 1
+    else:
+        evo, _ = empty_tile_evolution
+    levels = evo.cavity.levels
+    offsets = np.cumsum([0] + [energies.size for _, energies, _ in evo._tiles])
+    expected = np.zeros((2, levels, offsets[-1]))
+    for (start, _, modes), first, end in zip(evo._tiles, offsets, offsets[1:]):
+        rows = modes.shape[0] // 2
+        expected[:, start : start + rows, first:end] = modes.reshape(2, rows, -1)
+    scattered = np.zeros_like(expected)
+    edges = [0]
+    for start, stop, first, end, block in evo._cores:
+        assert start == edges[-1] < stop
+        edges.append(stop)
+        scattered[:, start:stop, first:end] += block.reshape(2, stop - start, end - first)
+    assert edges[-1] == levels
+    assert len(evo._cores) == len(evo._tiles)
+    assert np.array_equal(scattered, expected)
+
+
+def test_traces_stay_within_the_memory_estimate(monkeypatch):
+    # construction and a 2,000-sample quadrature trace at mean 1000 and
+    # amplitude 10: tracemalloc's peak stays under what the guard counted
+    import tracemalloc
+
+    needs = []
+    check = dynamics._require_memory
+    monkeypatch.setattr(
+        dynamics, "_require_memory", lambda need, what: (needs.append(need), check(need, what))
+    )
+    mean, coupling = 1000.0, 10.0 / (4.0 * math.sqrt(1000.0))
+    n_max, n_min = adequate_n_max(mean, coupling), adequate_n_min(mean, coupling)
+    initial = JointState.from_product(
+        QubitState.down(), coherent_state(math.sqrt(mean), n_max, n_min), n_max, n_min
+    )
+    tracemalloc.start()
+    try:
+        evo = SpectralEvolution(QubitSpec(0.4, 2.0), CavityCoupling(coupling, n_max, n_min))
+        estimate = needs[-1]
+        evo.traces(initial, TimeGrid(0.0, 185.0, 2000), quadrature=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(evo._tiles) > 1
+    assert peak <= estimate
 
 
 def test_factorised_and_direct_phases_are_near_exact(mean1000_evolution):

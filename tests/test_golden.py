@@ -4,9 +4,11 @@ Rows must match to 1e-12 relative tolerance (NaN equals NaN) and the header
 exactly; metadata must match apart from the run-dependent keys below.  The
 CSVs under tests/golden/ were written by this file's generator:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
-Regenerate only for a change that is meant to alter the numbers, and say so.
+which rewrites the named artifacts (the keys of CASES), or all of them when
+no name is given.  Regenerate only the artifacts a change is meant to alter,
+and say so.
 """
 
 import contextlib
@@ -77,11 +79,23 @@ def test_golden_artifact(name):
     np.testing.assert_allclose(rows, expected[2], rtol=1e-12, atol=0.0, equal_nan=True)
 
 
-def write_goldens() -> None:
+def test_regeneration_writes_only_the_named_artifacts(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    write_goldens(["bessel-approx"])
+    assert [path.name for path in tmp_path.iterdir()] == ["bessel-approx.csv"]
+    with pytest.raises(SystemExit, match="unknown golden artifact"):
+        write_goldens(["bessel-approx", "no-such-artifact"])
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def write_goldens(names) -> None:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden artifact(s) {unknown}; known: {sorted(CASES)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    for name in names:
         kept = [
-            line for line in run_artifact(argv).splitlines(keepends=True)
+            line for line in run_artifact(CASES[name]).splitlines(keepends=True)
             if not (line.startswith("# ") and line[2:].partition(" = ")[0] in VOLATILE_KEYS)
         ]
         (GOLDEN_DIR / f"{name}.csv").write_text("".join(kept), encoding="utf-8")
@@ -89,4 +103,4 @@ def write_goldens() -> None:
 
 
 if __name__ == "__main__":
-    write_goldens()
+    write_goldens(sys.argv[1:] or list(CASES))

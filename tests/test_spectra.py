@@ -98,6 +98,15 @@ def test_exact_splitting_matches_quantum_route():
         assert exact_splitting(q, cav, n, 0) == pytest.approx(target, rel=1e-3)
 
 
+def test_exact_splitting_resolves_a_small_gap_at_n_1000():
+    # the doublet sits near n = 1000: unshifted, eigh's rounding of about
+    # eps n put the splitting 6.2e-9 off the 40-digit value; diagonalised
+    # about the window's middle level it is within 4.5e-13
+    qubit, cavity = QubitSpec(1e-4, 2.0), CavityCoupling(0.1, adequate_n_max(1000, 0.1))
+    want = oracles.splitting_ref(1e-4, 2.0, 0.1, 1000, 2)
+    assert exact_splitting(qubit, cavity, 1000, 2) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
 def test_exact_splitting_validation():
     q = QubitSpec(gap=0.01, bias=0.0)
     cav = CavityCoupling(0.1, 30)
