@@ -346,13 +346,16 @@ def _tile_bounds(levels: int, margin: int) -> list[tuple[int, int, int, int]]:
 def _require_tile_memory(levels: int, tile_levels: int) -> None:
     """Raise ResourceLimitError when the tiled propagator exceeds physical memory.
 
-    The estimate, in doubles, counts the largest tile's dense eigh (5 T^2
-    + 6 T at tile dimension T, see require_dense_memory), the kept modes
-    and their copy in the core blocks (each of the window's 2L modes stored
-    on at most T rows, twice), the in-block phase table of traces
-    (_PHASE_BLOCK complex values per mode) and its sample chunk buffers:
-    per sample, 4 per mode for the real phase buffer and its complex source,
-    and 6 T for a core's product, the one before it and their squares.
+    The estimate, in doubles, counts the largest tile's dense eigh, 5 T^2
+    + 6 T at tile dimension T: the matrix, LAPACK's working copy
+    (overwritten by the eigenvectors), the returned eigenvectors and the
+    divide-and-conquer workspace of about 2 T^2, plus a few vectors of T.
+    It adds the kept modes and their copy in the core blocks (each of the
+    window's 2L modes stored on at most T rows, twice), the in-block phase
+    table of traces (_PHASE_BLOCK complex values per mode) and its sample
+    chunk buffers: per sample, 4 per mode for the real phase buffer and its
+    complex source, and 6 T for a core's product, the one before it and
+    their squares.
     """
     tile, dim = 2 * tile_levels, 2 * levels
     need = 8 * (
@@ -491,8 +494,7 @@ class SpectralEvolution:
             tile = CavityCoupling(cav.coupling, cav.n_min + stop - 1, cav.n_min + start)
             # diagonalised about the tile's middle level: eigh's rounding sets
             # how differently two tiles resolve a near-degenerate pair they share
-            shift, energies, modes = _centred_eigh(self.qubit, tile)
-            energies += shift
+            energies, modes = _centred_eigh(self.qubit, tile)
             weight = modes.reshape(2, stop - start, -1) ** 2
             weight = weight[0] + weight[1]
             centre = np.arange(start, stop) @ weight

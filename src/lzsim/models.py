@@ -100,6 +100,22 @@ def _window(n_min, n_max) -> tuple[int, int]:
     return require_int("n_min", n_min, 0, n_max - 1), n_max
 
 
+def _hamiltonian_entries(
+    qubit: QubitSpec, cavity: CavityCoupling
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The nonzero entries of the joint Hamiltonian on the Fock window.
+
+    Returns (up, down, tunnel, ladder): the diagonal m - bias/2 of the up
+    branch and m + bias/2 of the down branch over m = n_min..n_max, the
+    tunnel entry -gap/2 between (up, m) and (down, m), and the ladder
+    entries c sqrt(m + 1) between levels m and m + 1 for m = n_min..n_max-1,
+    which enter the up branch negated and the down branch as they are.
+    """
+    m = np.arange(cavity.n_min, cavity.n_max + 1, dtype=float)
+    ladder = cavity.coupling * np.sqrt(np.arange(cavity.n_min + 1.0, cavity.n_max + 1))
+    return -0.5 * qubit.bias + m, 0.5 * qubit.bias + m, -0.5 * qubit.gap, ladder
+
+
 def rabi_hamiltonian(qubit: QubitSpec, cavity: CavityCoupling) -> np.ndarray:
     """Dense real-symmetric qubit-oscillator Hamiltonian on the joint basis.
 
@@ -107,17 +123,16 @@ def rabi_hamiltonian(qubit: QubitSpec, cavity: CavityCoupling) -> np.ndarray:
     construction (each off-diagonal entry is written to both triangles from
     the same float).
     """
+    up_diag, down_diag, tunnel, ladder = _hamiltonian_entries(qubit, cavity)
     n_states = cavity.levels
     dim = 2 * n_states
     h = np.zeros((dim, dim), dtype=float)
-    m = np.arange(cavity.n_min, cavity.n_max + 1, dtype=float)
-    ladder = cavity.coupling * np.sqrt(np.arange(cavity.n_min + 1.0, cavity.n_max + 1))
 
     up = slice(0, n_states)
     down = slice(n_states, dim)
     diag = h.reshape(-1)[:: dim + 1]
-    diag[up] = -0.5 * qubit.bias + m
-    diag[down] = 0.5 * qubit.bias + m
+    diag[up] = up_diag
+    diag[down] = down_diag
 
     rows = np.arange(n_states - 1)
     h[rows, rows + 1] = -ladder
@@ -126,27 +141,23 @@ def rabi_hamiltonian(qubit: QubitSpec, cavity: CavityCoupling) -> np.ndarray:
     h[n_states + rows + 1, n_states + rows] = ladder
 
     cols = np.arange(n_states)
-    h[cols, n_states + cols] = -0.5 * qubit.gap
-    h[n_states + cols, cols] = -0.5 * qubit.gap
+    h[cols, n_states + cols] = tunnel
+    h[n_states + cols, cols] = tunnel
     return h
 
 
-def _centred_eigh(
-    qubit: QubitSpec, window: CavityCoupling
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """eigh of rabi_hamiltonian(qubit, window) about the window's middle level.
+def _centred_eigh(qubit: QubitSpec, window: CavityCoupling) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of rabi_hamiltonian(qubit, window).
 
-    Returns (shift, energies, modes); the eigenvalues are shift + energies.
-    eigh's rounding scales with the norm of its input: n_max unshifted, the
-    window's width once the middle level is subtracted from the diagonal.
-    A difference of two eigenvalues keeps that accuracy only when it is
-    taken before the shift is added back.
+    eigh runs on the matrix with the window's middle level subtracted from
+    the diagonal, so that its rounding scales with the window's width, not
+    with n_max; the level is added back to the eigenvalues.
     """
     h = rabi_hamiltonian(qubit, window)
     shift = float(window.n_min + window.levels // 2)
     h.reshape(-1)[:: h.shape[0] + 1] -= shift
     energies, modes = np.linalg.eigh(h)
-    return shift, energies, modes
+    return energies + shift, modes
 
 
 def _cutoff_pad(mean_occupation: float, coupling: float) -> tuple[float, int]:
@@ -190,17 +201,6 @@ def _require_memory(need: int, what: str) -> None:
         raise ResourceLimitError(
             f"{what} needs about {need} bytes, more than the {limit} bytes of physical memory"
         )
-
-
-def require_dense_memory(dim: int) -> None:
-    """Raise ResourceLimitError when a dense eigh at dim exceeds physical memory.
-
-    The estimate counts the matrix, LAPACK's working copy (overwritten by
-    the eigenvectors), the returned eigenvectors and the divide-and-conquer
-    workspace of about 2 dim^2 doubles: 5 dim^2 doubles in all.
-    """
-    dim = require_int("dim", dim, 1)
-    _require_memory(8 * (5 * dim * dim + 6 * dim), f"dense diagonalisation at dimension {dim}")
 
 
 @dataclass(frozen=True, eq=False)

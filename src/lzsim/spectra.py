@@ -13,6 +13,12 @@ root of the least-squares gradient.  The two routes correspond only for
 large n and at the shifted amplitude: unshifted, J_k(4 c sqrt(n)) vanishes
 at n = 0 for k >= 1 while the overlap does not, and an O(c (k+1)/sqrt(n))
 argument offset remains that relative errors magnify near Bessel zeros.
+
+The assumption-free reference for the quantized route is exact_splitting,
+the eigenvalue gap of the doublet itself (the generalised-RWA doublet of
+Irish, PRL 99, 173601 (2007)), found by inverse iteration seeded with the
+two displaced columns on a banded Fock window around them: no dense
+diagonalisation, O(window) work per doublet.
 """
 
 from __future__ import annotations
@@ -24,14 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FitDegenerateError, PairIdentificationError, require_int, require_real
-from .models import (
-    Branch,
-    CavityCoupling,
-    QubitSpec,
-    _centred_eigh,
-    grwa_state,
-    require_dense_memory,
-)
+from .models import Branch, CavityCoupling, QubitSpec, _hamiltonian_entries, grwa_state
 from .specfun import (
     MAX_BESSEL_ORDER,
     _bessel_column,
@@ -42,9 +41,13 @@ from .specfun import (
     require_overlap_index,
 )
 
-_EPS = 2.0 ** -52  # float64 machine epsilon, in _zeroin's stopping rule
+_EPS = 2.0 ** -52  # float64 machine epsilon
 # the doublet weight exact_splitting's window may leave out on either side
 _WINDOW_TAIL = 1e-16
+# inverse iterations exact_splitting may take: doublets split by much less
+# than the level spacing converge in 1-4, and 16 reach its bound from a
+# residual of 1 at a contraction of 1/3 a step
+_SPLIT_ITERATIONS = 16
 
 
 def rabi_freq_semiclassical(qubit: QubitSpec, amplitude: float, k: int) -> float:
@@ -76,17 +79,32 @@ def exact_splitting(qubit: QubitSpec, cavity: CavityCoupling, n: int, k: int) ->
     """Eigenvalue gap of the displaced-oscillator doublet ((up, n+k), (down, n)).
 
     Builds the doublet's two displaced Fock columns on the caller's cavity
-    (grwa_state, so its TruncationError guards them) and diagonalises the
-    joint Hamiltonian on the resonance bias = k over a Fock window around
-    them, about the window's middle level, so that the splitting's rounding
-    is about eps times the window's width rather than eps n.  The window
-    runs from the first to the last row outside which the summed squared
-    tails of both columns stay below 1e-16, widened on each side by half
-    its width (at least one row) and clipped to the cavity.
-    The two eigenvectors with the largest summed squared overlap against the
-    columns cut to the window are the doublet; their mean captured weight
-    must reach 0.8.  Raises ResourceLimitError, before allocating, when the
-    window's diagonalisation would not fit in physical memory.
+    (grwa_state, so its TruncationError and ResourceLimitError guard them)
+    and finds the doublet of the joint Hamiltonian on the resonance
+    bias = k over a Fock window around them.  The window runs from the
+    first to the last row outside which the summed squared tails of both
+    columns stay below 1e-16, widened on each side by half its width (at
+    least one row) and clipped to the cavity.  On it, with up and down
+    interleaved level by level, H is banded with width 2; the window's
+    middle level is subtracted from its diagonal, so that rounding scales
+    with the window's width rather than with n.
+
+    The two columns cut to the window seed a subspace inverse iteration at
+    the fixed shift sigma, the mean of their 2x2 Ritz values: H - sigma is
+    factored once by a banded LU with partial pivoting (_band_lu), and each
+    step solves for both vectors, orthonormalises them and projects H onto
+    them (Rayleigh-Ritz).  It stops once the Ritz residual
+    ||H Q - Q T||_F is at most sqrt(eps levels): each Ritz value is then
+    within eps levels / delta of its eigenvalue, delta being the distance
+    to the rest of the spectrum, about 1.  The splitting is the eigenvalue
+    gap hypot(t11 - t22, 2 t12) of the final projection T.  Each step
+    contracts the residual by about half the splitting over the distance to
+    the next levels, so a doublet split by a fair part of the level spacing
+    (about 1/2 or more) is not isolated and fails to converge in 16 steps.
+    That, or two Ritz vectors that capture on average less than 0.8 of the
+    columns' squared overlap, raises PairIdentificationError, whose message
+    names the inputs, the window, and the figure and threshold that failed.
+    The work is O(window) per doublet.
     """
     n = require_int("n", n)
     k = require_int("k", k)
@@ -101,19 +119,120 @@ def exact_splitting(qubit: QubitSpec, cavity: CavityCoupling, n: int, k: int) ->
     half = (hi - lo + 2) // 2
     lo, hi = max(0, lo - half), min(weight.size - 1, hi + half)
     window = CavityCoupling(cavity.coupling, cavity.n_min + hi, cavity.n_min + lo)
-    require_dense_memory(window.dim)
-    _, energies, modes = _centred_eigh(qubit, window)
-    levels = window.levels
-    weights = (modes[:levels].T @ pair_a[lo : hi + 1]) ** 2
-    weights += (modes[levels:].T @ pair_b[lo : hi + 1]) ** 2
-    first, second = np.argsort(weights)[-2:]
-    captured = 0.5 * (weights[first] + weights[second])
+    up, down, tunnel, ladder = _hamiltonian_entries(qubit, window)
+    middle = float(window.n_min + window.levels // 2)
+    diag = np.column_stack((up - middle, down - middle)).reshape(-1)
+    off1 = np.zeros(diag.size - 1)
+    off1[0::2] = tunnel
+    off2 = np.column_stack((-ladder, ladder)).reshape(-1)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        """H x for x of shape (dim, 2), from the three bands."""
+        hx = diag[:, None] * x
+        hx[:-1] += off1[:, None] * x[1:]
+        hx[1:] += off1[:, None] * x[:-1]
+        hx[:-2] += off2[:, None] * x[2:]
+        hx[2:] += off2[:, None] * x[:-2]
+        return hx
+
+    seeds = np.zeros((diag.size, 2))
+    seeds[0::2, 0] = pair_a[lo : hi + 1]
+    seeds[1::2, 1] = pair_b[lo : hi + 1]
+    proj = seeds.T @ apply(seeds)
+    factors = _band_lu(diag - 0.5 * (proj[0, 0] + proj[1, 1]), off1, off2)
+    bound = math.sqrt(_EPS * window.levels)
+    basis = seeds
+    for _ in range(_SPLIT_ITERATIONS):
+        basis = np.linalg.qr(_band_solve(factors, basis))[0]
+        h_basis = apply(basis)
+        proj = basis.T @ h_basis
+        proj = 0.5 * (proj + proj.T)
+        residual = float(np.linalg.norm(h_basis - basis @ proj))
+        if residual <= bound:
+            break
+    where = (
+        f"doublet (n={n}, k={k}) at gap={qubit.gap}, bias={qubit.bias}, "
+        f"coupling={cavity.coupling} on the window n_min={window.n_min}, n_max={window.n_max}"
+    )
+    if not residual <= bound:  # a NaN residual fails too
+        raise PairIdentificationError(
+            f"{where}: Ritz residual {residual:.3g} still above {bound:.3g} after "
+            f"{_SPLIT_ITERATIONS} inverse iterations; the doublet is not isolated"
+        )
+    # the mean weight of the two Ritz vectors, which rotating the basis keeps
+    captured = 0.5 * float(np.sum((seeds.T @ basis) ** 2))
     if captured < 0.8:
         raise PairIdentificationError(
-            f"doublet (n={n}, k={k}) captured weight {captured:.3f} < 0.8; "
+            f"{where}: captured weight {captured:.3g} < 0.8; "
             "the displaced-oscillator labels are not faithful here"
         )
-    return float(abs(energies[first] - energies[second]))
+    return math.hypot(proj[0, 0] - proj[1, 1], 2.0 * proj[0, 1])
+
+
+def _band_lu(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray):
+    """LU with partial pivoting of the symmetric matrix A with main diagonal
+    diag and first and second off-diagonals off1 and off2.
+
+    Plain Python over per-row tuples: column j picks its pivot among the
+    three rows that can reach it, so U has upper bandwidth 4.  Returns
+    (steps, upper): per column j, the pivot's place among those rows and
+    the multipliers of the two others, and U's row j at columns j..j+4.
+    A pivot of exactly 0 is replaced by eps times A's largest entry, as
+    LAPACK's dstein does, so every factor is finite and nonzero.
+    """
+    tiny = _EPS * max(float(np.max(np.abs(band))) for band in (diag, off1, off2))
+    o1 = [0.0, *off1.tolist(), 0.0]  # o1[r] = A[r, r-1]
+    o2 = [0.0, 0.0, *off2.tolist(), 0.0, 0.0]  # o2[r] = A[r, r-2]
+    # A's row r at columns r-2..r+2, then three rows past the last, which never pivot
+    rows = [*zip(o2, o1, diag.tolist(), o1[1:], o2[2:]), *[(0.0,) * 5] * 3]
+    # the candidate rows of column 0, at columns 0..4
+    a, b, c = (*rows[0][2:], 0.0, 0.0), (*rows[1][1:], 0.0), rows[2]
+    steps, upper = [], []
+    for row in rows[3:]:
+        p, pick = a[0], 0
+        if abs(b[0]) > abs(p):
+            p, pick = b[0], 1
+        if abs(c[0]) > abs(p):
+            p, pick = c[0], 2
+        if pick == 1:
+            a, b = b, a
+        elif pick == 2:
+            a, c = c, a
+        if p == 0.0:
+            p = tiny
+        lb, lc = b[0] / p, c[0] / p
+        _, u1, u2, u3, u4 = a
+        steps.append((pick, lb, lc))
+        upper.append((p, u1, u2, u3, u4))
+        a = (b[1] - lb * u1, b[2] - lb * u2, b[3] - lb * u3, b[4] - lb * u4, 0.0)
+        b = (c[1] - lc * u1, c[2] - lc * u2, c[3] - lc * u3, c[4] - lc * u4, 0.0)
+        c = row
+    return steps, upper
+
+
+def _band_solve(factors, rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs for both columns of rhs (shape (dim, 2)) in one sweep, from
+    _band_lu's factors of A."""
+    steps, upper = factors
+    size = len(upper)
+    # zeros past the last row: the right-hand sides of the rows that never
+    # pivot, and the solution entries U's last rows reach
+    x = rhs[:, 0].tolist() + [0.0] * 4
+    y = rhs[:, 1].tolist() + [0.0] * 4
+    xa, xb, xc, ya, yb, yc = x[0], x[1], x[2], y[0], y[1], y[2]
+    for j, (pick, lb, lc) in enumerate(steps):
+        if pick == 1:
+            xa, xb, ya, yb = xb, xa, yb, ya
+        elif pick == 2:
+            xa, xc, ya, yc = xc, xa, yc, ya
+        x[j], y[j] = xa, ya
+        xa, xb, xc = xb - lb * xa, xc - lc * xa, x[j + 3]
+        ya, yb, yc = yb - lb * ya, yc - lc * ya, y[j + 3]
+    for j in range(size - 1, -1, -1):
+        p, u1, u2, u3, u4 = upper[j]
+        x[j] = (x[j] - u1 * x[j + 1] - u2 * x[j + 2] - u3 * x[j + 3] - u4 * x[j + 4]) / p
+        y[j] = (y[j] - u1 * y[j + 1] - u2 * y[j + 2] - u3 * y[j + 3] - u4 * y[j + 4]) / p
+    return np.column_stack((x[:size], y[:size]))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from lzsim import (
     rabi_freq_quantum,
     rabi_freq_semiclassical,
 )
-from lzsim.models import require_dense_memory
 from lzsim.specfun import MAX_BESSEL_ORDER, MAX_OVERLAP_INDEX
 from lzsim.spectra import bessel_laguerre_identity_error_grid
 
@@ -120,7 +119,6 @@ TABLE = [
     *rows(coherent_state, dict(alpha=1.0, n_max=40, n_min=0),
           ("alpha", REAL, (-1.0,)), ("n_max", INT, (0,)), ("n_min", INT, (-1, 40))),
     *rows(grwa_state, dict(branch=Branch.UP, m=2, cavity=CAV), ("m", INT, (-1, 11))),
-    *rows(require_dense_memory, dict(dim=10), ("dim", INT, (0,))),
     # spectra
     *rows(rabi_freq_semiclassical, dict(qubit=Q0, amplitude=1.0, k=0),
           ("amplitude", REAL, (-1.0,)), ("k", INT, (-1,))),

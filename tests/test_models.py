@@ -106,6 +106,38 @@ def test_rabi_hamiltonian_symmetric_for_irrational_coupling():
     assert np.array_equal(h, h.T)
 
 
+def _rabi_hamiltonian_by_hand(qubit, cavity):
+    # the dense matrix written out entry by entry, without the helper whose
+    # entries exact_splitting's bands share
+    n_states = cavity.levels
+    dim = 2 * n_states
+    h = np.zeros((dim, dim), dtype=float)
+    m = np.arange(cavity.n_min, cavity.n_max + 1, dtype=float)
+    ladder = cavity.coupling * np.sqrt(np.arange(cavity.n_min + 1.0, cavity.n_max + 1))
+    diag = h.reshape(-1)[:: dim + 1]
+    diag[:n_states] = -0.5 * qubit.bias + m
+    diag[n_states:] = 0.5 * qubit.bias + m
+    rows = np.arange(n_states - 1)
+    h[rows, rows + 1] = h[rows + 1, rows] = -ladder
+    h[n_states + rows, n_states + rows + 1] = h[n_states + rows + 1, n_states + rows] = ladder
+    cols = np.arange(n_states)
+    h[cols, n_states + cols] = h[n_states + cols, cols] = -0.5 * qubit.gap
+    return h
+
+
+@pytest.mark.parametrize(
+    "gap, bias, coupling, n_max, n_min",
+    [(0.8, 1.5, 0.3, 3, 0), (0.1, 0.7, 1.0 / 3.0, 50, 0), (0.01, 5.0, 0.55, 1014, 200)],
+)
+def test_rabi_hamiltonian_is_bit_identical_to_the_direct_construction(
+    gap, bias, coupling, n_max, n_min
+):
+    # the quantized-picture tiles diagonalise this matrix; sharing its
+    # entries with the banded doublet solver must not move one bit of it
+    qubit, cavity = QubitSpec(gap, bias), CavityCoupling(coupling, n_max, n_min)
+    assert np.array_equal(rabi_hamiltonian(qubit, cavity), _rabi_hamiltonian_by_hand(qubit, cavity))
+
+
 # ------------------------------------------------------------ state vectors
 
 
@@ -441,9 +473,15 @@ def test_dense_memory_guard_raises_before_allocating(monkeypatch):
 
     monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 4 * 10**6)
     qubit = QubitSpec(0.4, 2.0)
-    # exact_splitting counts its doublet window: 2 x 231 levels need 8.6 MB
-    with pytest.raises(ResourceLimitError, match="4000000 bytes of physical memory"):
-        exact_splitting(qubit, CavityCoupling(1.0, adequate_n_max(300, 1.0)), 300, 2)
+    # exact_splitting holds O(window) numbers, no dense matrix: it completes
+    # where a dense eigh of its window (2 x 231 levels, 8.6 MB) would not
+    # fit, and only the O(levels) guard of its displaced columns (48 bytes a
+    # level of the cavity) can refuse it
+    cavity = CavityCoupling(1.0, adequate_n_max(300, 1.0))
+    assert exact_splitting(qubit, cavity, 300, 2) > 0.0
+    monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 48 * cavity.levels - 1)
+    with pytest.raises(ResourceLimitError, match="displaced Fock state on 507 levels"):
+        exact_splitting(qubit, cavity, 300, 2)
     # SpectralEvolution counts its largest tile (105 levels at margin 35), the
     # kept modes and their core blocks, the in-block phase table and the
     # sample buffers of traces: 8 * (5 * 210^2 + 6 * 210 + 2 * 210 * 2002

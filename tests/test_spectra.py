@@ -30,7 +30,7 @@ from lzsim import (
     rabi_freq_semiclassical,
     rabi_hamiltonian,
 )
-from lzsim.spectra import _shift_objective, _zeroin
+from lzsim.spectra import _band_lu, _band_solve, _shift_objective, _zeroin
 
 
 # ----------------------------------------------------- analytic frequencies
@@ -99,9 +99,9 @@ def test_exact_splitting_matches_quantum_route():
 
 
 def test_exact_splitting_resolves_a_small_gap_at_n_1000():
-    # the doublet sits near n = 1000: unshifted, eigh's rounding of about
-    # eps n put the splitting 6.2e-9 off the 40-digit value; diagonalised
-    # about the window's middle level it is within 4.5e-13
+    # the doublet sits near n = 1000: an unshifted dense eigh, rounding at
+    # about eps n, put the splitting 6.2e-9 off the 40-digit value; the
+    # centred band iteration is within 3.5e-16 of it
     qubit, cavity = QubitSpec(1e-4, 2.0), CavityCoupling(0.1, adequate_n_max(1000, 0.1))
     want = oracles.splitting_ref(1e-4, 2.0, 0.1, 1000, 2)
     assert exact_splitting(qubit, cavity, 1000, 2) == pytest.approx(want, rel=1e-11, abs=0.0)
@@ -124,6 +124,100 @@ def test_exact_splitting_reports_unidentifiable_pairs():
     cav = CavityCoupling(1.0, 40)
     with pytest.raises(PairIdentificationError):
         exact_splitting(q, cav, 1, 0)
+
+
+def test_exact_splitting_failures_name_inputs_and_thresholds():
+    # converged onto two modes that are not the doublet
+    with pytest.raises(
+        PairIdentificationError,
+        match=r"doublet \(n=10, k=0\) at gap=1.5, bias=0.0, coupling=0.1 on the window "
+        r"n_min=\d+, n_max=\d+: captured weight 0\.\d+ < 0.8",
+    ):
+        exact_splitting(QubitSpec(1.5, 0.0), CavityCoupling(0.1, 400), 10, 0)
+    # the doublet is not isolated: the iteration stalls
+    with pytest.raises(
+        PairIdentificationError,
+        match=r"doublet \(n=1, k=0\) at gap=30.0, bias=0.0, coupling=1.0 on the window "
+        r"n_min=0, n_max=\d+: Ritz residual \S+ still above \S+ after 16 inverse iterations",
+    ):
+        exact_splitting(QubitSpec(30.0, 0.0), CavityCoupling(1.0, 40), 1, 0)
+
+
+@pytest.mark.parametrize("pivot", [1, 2])
+@pytest.mark.parametrize("size", [4, 5, 9, 40])
+def test_band_solve_matches_a_dense_solve(size, pivot):
+    # exact_splitting's band layout (no entry between (down, m) and
+    # (up, m+1)), with column 0 zero on two of its three candidate rows, so
+    # that it must pivot on the other
+    rng = np.random.default_rng(size)
+    diag, off1, off2 = rng.normal(size=size), rng.normal(size=size - 1), rng.normal(size=size - 2)
+    off1[1::2] = 0.0
+    diag[0] = 0.0
+    (off2 if pivot == 1 else off1)[0] = 0.0
+    dense = np.diag(diag) + np.diag(off1, 1) + np.diag(off1, -1) + np.diag(off2, 2) + np.diag(off2, -2)
+    rhs = rng.normal(size=(size, 2))
+    got = _band_solve(_band_lu(diag, off1, off2), rhs)
+    assert np.allclose(got, np.linalg.solve(dense, rhs), rtol=1e-12, atol=1e-12)
+
+
+def test_exact_splitting_runs_no_dense_diagonalisation(monkeypatch):
+    import lzsim.models
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact_splitting reached a dense route")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(lzsim.models, "rabi_hamiltonian", refuse)
+    for coupling, n_max, n_min, n, k in _splitting_cases()[::5]:
+        qubit, cavity = QubitSpec(0.01, float(k)), CavityCoupling(coupling, n_max, n_min)
+        assert exact_splitting(qubit, cavity, n, k) > 0.0
+
+
+def test_exact_splitting_takes_few_inverse_iterations(monkeypatch):
+    # the seeds are the doublet to first order in the gap, and each step
+    # contracts the residual by about half the splitting (at most 0.005
+    # here), so two steps reach the bound, three where the seed is rougher
+    import lzsim.spectra
+
+    solves = []
+    band_solve = lzsim.spectra._band_solve
+
+    def counted(factors, rhs):
+        solves.append(rhs.shape)
+        return band_solve(factors, rhs)
+
+    monkeypatch.setattr(lzsim.spectra, "_band_solve", counted)
+    for coupling, n_max, n_min, n, k in _splitting_cases():
+        solves.clear()
+        exact_splitting(QubitSpec(0.01, float(k)), CavityCoupling(coupling, n_max, n_min), n, k)
+        assert 1 <= len(solves) <= 3, (coupling, n_min, n, k, len(solves))
+
+
+@pytest.mark.parametrize("coupling, k, levels", [(1.0, 5, 236), (0.55, 2, 152)])
+def test_exact_splitting_matches_mpmath_at_strong_coupling(coupling, k, levels):
+    # each Ritz value is within eps levels / delta of its eigenvalue, with
+    # levels the window's width (236 and 152 levels here) and delta, the
+    # distance to the next levels, about 1: so the splitting is within
+    # eps levels absolute, eps levels / splitting relative (4e-10 and 3e-11)
+    qubit, cavity = QubitSpec(0.01, float(k)), CavityCoupling(coupling, adequate_n_max(300, 1.0))
+    want = oracles.splitting_ref(0.01, float(k), coupling, 300, k)
+    got = exact_splitting(qubit, cavity, 300, k)
+    assert abs(got - want) <= np.finfo(float).eps * levels, (got, want)
+
+
+@pytest.mark.parametrize("gap", [1e-12, 0.0])
+def test_exact_splitting_of_a_degenerate_doublet(gap):
+    # H - sigma is singular to working precision, and exactly singular at
+    # gap 0 and coupling 0, where two pivots are exactly 0: none may divide,
+    # and the splitting stays within eps times the window's width of
+    # gap |overlap|
+    for coupling, n, k in ((0.1, 10, 0), (1.0, 300, 2), (0.3, 5, 1), (0.0, 10, 2)):
+        qubit = QubitSpec(gap, float(k))
+        cavity = CavityCoupling(coupling, adequate_n_max(n, coupling))
+        got = exact_splitting(qubit, cavity, n, k)
+        assert math.isfinite(got) and got >= 0.0
+        want = abs(rabi_freq_quantum(qubit, coupling, n, k))
+        assert abs(got - want) <= np.finfo(float).eps * cavity.levels, (coupling, n, k, got)
 
 
 def _full_basis_splitting(qubit, cavity, n, k):
