@@ -7,11 +7,15 @@ is below 1e-10, except near a zero of the function, where accuracy is
 absolute, and in the overlap at large n and small d, where the Laguerre
 recurrence drifts: against mpmath at d = 0.3 it is 1.5e-11 at n = 1e4,
 1.1e-9 at 1e5 and 7.9e-9 to 1.5e-8 at 5e5 (k = 0 to 3).  The public
-routines are scalar.  The private `_overlap_grid` reads every requested
-photon number off one Laguerre recurrence, bit for bit what the scalar
-overlap returns cell by cell.  The private `_bessel_column` evaluates J_k
-over a column of x, one numpy pass per regime, bit for bit what `bessel_j`
-returns, and on request J_{k+1} from the same Miller pass.  The private
+routines take one argument set; the private grid kernels a whole column.
+`_overlap_grid` reads every requested photon number off one Laguerre
+recurrence, and `_bessel_column` evaluates J_k over a column of x, one
+numpy pass per regime, and on request J_{k+1} from the same Miller pass.
+Both finish in lane-wise closings, `_close_overlap` and `_close_series`,
+which add the log-space terms in numpy in the scalar order and call libm
+(`math.log`, `math.lgamma`, `math.exp`) lane by lane.  The scalar overlap
+and the scalar Bessel series close through the same routines as one-lane
+columns, so grid and scalar agree bit for bit by construction.  The private
 `_displaced_fock_column` builds a whole column <j| D(d) |m> from its own
 recurrence, with no Laguerre pass.
 
@@ -59,10 +63,10 @@ def bessel_j(k: int, x: float) -> float:
     """
     k = require_int("k", k, 0, MAX_BESSEL_ORDER)
     x = require_real("x", x, 0.0)
-    if x == 0.0:
+    if 0.5 * x == 0.0:  # x = 0, or subnormal x: J_0 = 1 and J_k underflows
         return 1.0 if k == 0 else 0.0
     if _series_regime(k, x):
-        return _bessel_series(k, x)
+        return float(_series_lanes(k, np.array([x]))[0])
     return _bessel_miller(k, x)[0]
 
 
@@ -72,11 +76,10 @@ def _series_regime(k: int, x):
 
 
 def _bessel_series(k: int, x: float) -> float:
-    # Sum in units of the leading term; the leading term itself is applied in
-    # log space so large k cannot underflow intermediate terms.
+    """The power series of J_k(x), x/2 > 0, summed in units of its leading
+    term (x/2)^k / k!; _close_series applies that term in log space, so large
+    k cannot underflow intermediate terms."""
     half = 0.5 * x
-    if half == 0.0:  # subnormal x: J_0 = 1 and J_k underflows, to full precision
-        return 1.0 if k == 0 else 0.0
     q = half * half
     term = 1.0
     total = 1.0
@@ -87,17 +90,41 @@ def _bessel_series(k: int, x: float) -> float:
         total += term
         if abs(term) <= 1e-17 * abs(total):
             break
-    return _series_value(k, half, total)
+    return total
 
 
-def _series_value(k: int, half: float, total: float) -> float:
-    """J_k from the series sum in units of its leading term (x/2)^k / k!."""
-    if total == 0.0:
-        return 0.0
-    value = k * math.log(half) - math.lgamma(k + 1) + math.log(abs(total))
-    if value < -745.0:
-        return math.copysign(0.0, total)
-    return math.copysign(math.exp(value), total)
+def _close_series(k: int, half: np.ndarray, totals) -> np.ndarray:
+    """J_k at every lane from x/2 and the series sum in units of its leading term.
+
+    Lane by lane k ln(x/2) - ln k! + ln|total|, added left to right as one
+    scalar sum would be, then its signed exp; a lane whose log lies below
+    -745 is a signed zero, and a zero sum gives +0.0.
+    """
+    totals = np.asarray(totals, dtype=float)
+    value = k * _libm(math.log, half) - math.lgamma(k + 1) + _log_abs(totals)
+    return _signed_exp(value, totals)
+
+
+def _libm(func, values: np.ndarray) -> np.ndarray:
+    """func (a math routine) at every lane, libm's own value bit for bit.
+
+    numpy's vector exp and log may differ from libm by an ulp, so the
+    closings call math's routines lane by lane.
+    """
+    return np.fromiter(map(func, values.tolist()), dtype=float, count=values.size)
+
+
+def _log_abs(values: np.ndarray) -> np.ndarray:
+    """ln|v| at every lane, 0.0 where v is 0 (lanes _signed_exp sets to +0.0)."""
+    return _libm(math.log, np.abs(np.where(values == 0.0, 1.0, values)))
+
+
+def _signed_exp(log_mag: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """copysign(exp(log_mag), sign) at every lane: a signed zero where log_mag
+    is below -745 (where exp would return a subnormal), +0.0 where sign is 0."""
+    zero = sign == 0.0
+    mag = _libm(math.exp, np.where(zero | (log_mag < -745.0), -np.inf, log_mag))
+    return np.copysign(mag, np.where(zero, 1.0, sign))
 
 
 def _miller_margin(x: float) -> int:
@@ -153,8 +180,8 @@ def _bessel_column(k: int, xs, pair: bool = False) -> np.ndarray:
 
     Each lane takes the regime bessel_j takes.  The series lanes run the
     scalar's term recurrence as one numpy pass, each lane frozen at the step
-    where the scalar loop breaks, and are finished by the scalar's own
-    _series_value.  The Miller lanes run one backward pass from the largest
+    where the scalar loop breaks, and are finished by _close_series, as the
+    scalar is.  The Miller lanes run one backward pass from the largest
     start order down, each lane switched on at its own start, so every lane
     sees the steps the scalar pass takes.  A regime with too few lanes for a
     numpy pass to win calls the scalar routine lane by lane.  With pair, the
@@ -171,17 +198,23 @@ def _bessel_column(k: int, xs, pair: bool = False) -> np.ndarray:
     with np.errstate(over="ignore"):  # x * x may overflow to inf, as in the scalar rule
         series = ~zero & _series_regime(k, xs)
     miller = ~(zero | series)
-    for row in range(1 + pair):
-        out[row, series] = _series_lanes(k + row, xs[series])
+    if series.any():  # a closing costs about 10 us even with no lanes to close
+        for row in range(1 + pair):
+            out[row, series] = _series_lanes(k + row, xs[series])
     out[:, miller] = _miller_lanes(k, xs[miller])[: 1 + pair]
     return out if pair else out[0]
 
 
-def _series_lanes(k: int, xs: np.ndarray):
-    """_bessel_series(k, x) at every x in xs, all with x/2 > 0."""
-    if xs.size < _MIN_LANES:
-        return [_bessel_series(k, x) for x in xs.tolist()]
+def _series_lanes(k: int, xs: np.ndarray) -> np.ndarray:
+    """bessel_j(k, x) at every x in xs, all in the series regime with x/2 > 0.
+
+    A column of at least _MIN_LANES sums its series as one numpy pass, each
+    lane frozen at the step where the scalar loop breaks; a shorter one calls
+    _bessel_series lane by lane.  Either way _close_series finishes them.
+    """
     half = 0.5 * xs
+    if xs.size < _MIN_LANES:
+        return _close_series(k, half, [_bessel_series(k, x) for x in xs.tolist()])
     neg_q = -(half * half)
     totals = np.empty_like(xs)
     lanes = np.arange(xs.size)  # the lanes still summing
@@ -198,7 +231,7 @@ def _series_lanes(k: int, xs: np.ndarray):
             if not lanes.size:
                 break
     totals[lanes] = total  # lanes that ran all 1000 terms, as the scalar loop does
-    return [_series_value(k, h, t) for h, t in zip(half.tolist(), totals.tolist())]
+    return _close_series(k, half, totals)
 
 
 def _miller_lanes(k: int, xs: np.ndarray) -> np.ndarray:
@@ -372,11 +405,10 @@ def displaced_fock_overlap(n: int, k: int, d: float) -> float:
     require_overlap_index(n, k)
     if d == 0.0:
         return 1.0 if k == 0 else 0.0
-    mantissa, log_scale = assoc_laguerre_scaled(n, k, x)
-    return _overlap_from_laguerre(n, k, d, mantissa, log_scale)
+    return float(_close_overlap([n], k, d, [assoc_laguerre_scaled(n, k, x)])[0])
 
 
-def _overlap_grid(ns: Sequence[int], k: int, d: float) -> list[float]:
+def _overlap_grid(ns: Sequence[int], k: int, d: float) -> np.ndarray:
     """displaced_fock_overlap(n, k, d) for every n in ns, in the order given.
 
     One Laguerre recurrence up to max(ns) serves every photon number, so a
@@ -387,28 +419,28 @@ def _overlap_grid(ns: Sequence[int], k: int, d: float) -> list[float]:
     """
     d, x = _require_displacement(d)
     if d == 0.0:
-        return [1.0 if k == 0 else 0.0] * len(ns)
-    laguerre = _laguerre_scaled_pass(ns, k, x)
-    return [
-        _overlap_from_laguerre(n, k, d, mantissa, log_scale)
-        for n, (mantissa, log_scale) in zip(ns, laguerre)
-    ]
+        return np.full(len(ns), 1.0 if k == 0 else 0.0)
+    return _close_overlap(ns, k, d, _laguerre_scaled_pass(ns, k, x))
 
 
-def _overlap_from_laguerre(n: int, k: int, d: float, mantissa: float, log_scale: float) -> float:
-    """The overlap at d > 0 from the scaled L_n^k(d^2), its prefactor in log space."""
-    if mantissa == 0.0:
-        return 0.0
+def _close_overlap(ns: Sequence[int], k: int, d: float, laguerre) -> np.ndarray:
+    """The overlap at d > 0 for every n in ns, from its scaled L_n^k(d^2).
+
+    Lane by lane the log-space prefactor
+        -d^2/2 + k ln d + (ln n! - ln (n+k)!)/2 + ln|mantissa| + log_scale,
+    added left to right as one scalar sum would be, then its signed exp; a
+    lane whose log lies below -745 is a signed zero, and a zero mantissa
+    gives +0.0.
+    """
+    mantissa, log_scale = np.array(laguerre, dtype=float).reshape(-1, 2).T
+    ns = np.array(ns, dtype=float)  # n + k + 1 stays exact in float: both are at most 1e6
     log_mag = (
-        -0.5 * d * d
-        + k * math.log(d)
-        + 0.5 * (math.lgamma(n + 1) - math.lgamma(n + k + 1))
-        + math.log(abs(mantissa))
+        (-0.5 * d * d + k * math.log(d))
+        + 0.5 * (_libm(math.lgamma, ns + 1.0) - _libm(math.lgamma, ns + (k + 1.0)))
+        + _log_abs(mantissa)
         + log_scale
     )
-    if log_mag < -745.0:
-        return math.copysign(0.0, mantissa)
-    return math.copysign(math.exp(log_mag), mantissa)
+    return _signed_exp(log_mag, mantissa)
 
 
 def _displaced_fock_column(m: int, d: float, n_min: int, n_max: int) -> np.ndarray:

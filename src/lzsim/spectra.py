@@ -295,7 +295,7 @@ def comparison_grid(
     # equivalent_amplitude's IEEE operations, lane by lane
     a_eff = 4.0 * coupling * np.sqrt(np.array(ns, dtype=float) + shift)
     omega_s = (qubit.gap * _bessel_column(k, a_eff)).tolist()
-    omega_q = [qubit.gap * q for q in _overlap_grid(ns, k, 2.0 * coupling)]
+    omega_q = (qubit.gap * _overlap_grid(ns, k, 2.0 * coupling)).tolist()
     return [ComparisonRow(*row) for row in zip(ns, omega_s, omega_q, a_eff.tolist())]
 
 
@@ -491,10 +491,11 @@ def bessel_laguerre_identity_error(x: float, n: int, k: int) -> float:
 
 def bessel_laguerre_identity_error_grid(
     xs: Iterable[float], ns: Iterable[int], ks: Iterable[int]
-) -> list[list[list[float]]]:
+) -> np.ndarray:
     """bessel_laguerre_identity_error at every (x, n, k) of a product grid.
 
-    errors[i][j][l] is the error at (xs[i], ns[j], ks[l]); values may come in
+    Returns the float array errors of shape (len(xs), len(ns), len(ks)), where
+    errors[i, j, l] is the error at (xs[i], ns[j], ks[l]); values may come in
     any order and repeat.  One Laguerre pass per distinct (x, k) serves every
     n, the Bessel side of that column is one _bessel_column, and each error
     equals the scalar function's bit for bit.  Every x, n and k is checked,
@@ -503,16 +504,16 @@ def bessel_laguerre_identity_error_grid(
     xs = [require_real("x", x, 0.0) for x in xs]
     ns, ks = _checked_cells(ns, ks, max(xs, default=0.0))
     roots = np.sqrt(np.array(ns, dtype=float))
-    errors = []
-    for x in xs:
+    errors = np.empty((len(xs), len(ns), len(ks)))
+    for plane, x in zip(errors, xs):
         args = 4.0 * x * roots
         columns = {}
         for k in dict.fromkeys(ks):
             lhs = _bessel_column(k, args)
-            rhs = np.array(_overlap_grid(ns, k, 2.0 * x))
+            rhs = _overlap_grid(ns, k, 2.0 * x)
             # the scalar function's IEEE operations, lane by lane
-            columns[k] = (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-3)).tolist()
-        errors.append([[columns[k][j] for k in ks] for j in range(len(ns))])
+            columns[k] = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-3)
+        plane[...] = np.array([columns[k] for k in ks]).T
     return errors
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from lzsim import QubitSpec, comparison_grid
@@ -19,7 +20,8 @@ from lzsim.config import (
     read_config_file,
     resolve,
 )
-from lzsim.output import OutputTable, write_csv, write_table
+from lzsim import output
+from lzsim.output import OutputTable, write_csv, write_json, write_table
 
 
 def run_cli(capsys, *argv):
@@ -237,21 +239,57 @@ def legacy_write_csv(table, stream):
         writer.writerow(format(v, ".17g") for v in row)
 
 
+_CELLS = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, -2.5e-17,
+    3.0, 1000.0, 1e16, 2.0**53 + 2.0, 123456789.0, -7.0,
+]
+
+
+def _demo_rows(count, width):
+    """count rows cycling through _CELLS, the last one integers stored as floats."""
+    flat = [_CELLS[i % len(_CELLS)] for i in range(count * width)]
+    rows = [tuple(flat[i : i + width]) for i in range(0, len(flat), width)]
+    rows[-1] = tuple(float(i) for i in range(width))
+    return rows
+
+
+# row counts one below, at, one above and twice-plus-one the writer's block
+_BLOCK_COUNTS = [output._BLOCK_ROWS - 1, output._BLOCK_ROWS, output._BLOCK_ROWS + 1,
+                 2 * output._BLOCK_ROWS + 1]
+
+
 @pytest.mark.parametrize("width", [1, 3, 9])
 def test_csv_rows_are_byte_identical_to_the_cell_by_cell_writer(width):
-    cells = [
-        math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
-        1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0, -2.5e-17,
-        3.0, 1000.0, 1e16, 2.0**53 + 2.0, 123456789.0, -7.0,
-    ]
-    flat = cells * width
-    rows = [tuple(flat[i : i + width]) for i in range(0, len(flat), width)]
-    rows.append(tuple(float(i) for i in range(width)))  # integers stored as floats
-    table = OutputTable(tuple(f"c{i}" for i in range(width)), rows, {"command": "demo"})
-    got, want = io.StringIO(), io.StringIO()
-    write_csv(table, got)
-    legacy_write_csv(table, want)
-    assert got.getvalue() == want.getvalue()
+    header = tuple(f"c{i}" for i in range(width))
+    for count in [1, 2] + _BLOCK_COUNTS:
+        rows = _demo_rows(count, width)
+        for given in (rows, np.array(rows)):  # a list of rows, and one 2-D array
+            table = OutputTable(header, given, {"command": "demo"})
+            got, want = io.StringIO(), io.StringIO()
+            write_csv(table, got)
+            legacy_write_csv(table, want)
+            assert got.getvalue() == want.getvalue(), (count, type(given))
+            assert got.getvalue().count("\n") == 2 + count
+
+
+@pytest.mark.parametrize("count", [3, output._BLOCK_ROWS + 1])
+def test_json_of_array_rows_equals_json_of_tuple_rows(count):
+    rows = _demo_rows(count, 4)
+    texts = []
+    for given in (rows, np.array(rows)):
+        stream = io.StringIO()
+        write_json(OutputTable(("a", "b", "c", "d"), given, {"command": "demo"}), stream)
+        texts.append(stream.getvalue())
+    assert texts[0] == texts[1]
+    doc = json.loads(texts[0])
+    assert doc["rows"][0][:2] == [None, None]  # NaN and -NaN are written as null
+    assert len(doc["rows"]) == count
+
+
+def test_output_table_refuses_an_array_of_the_wrong_width():
+    with pytest.raises(ValueError, match=r"rows have shape \(2, 3\), header has 2 fields"):
+        OutputTable(("a", "b"), np.zeros((2, 3)), {})
 
 
 # ----------------------------------------------------------- CLI end-to-end

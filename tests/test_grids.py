@@ -9,6 +9,7 @@ tests compare with `==` and never with a tolerance.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,131 @@ def test_overlap_grid_cells_reach_the_rescaled_range():
     # d = 40 puts L_n^k(1600) far beyond 1e250, so log_scale > 0 is exercised
     laguerre = _laguerre_scaled_pass(OVERLAP_NS, 12, 1600.0)
     assert any(log_scale > 0.0 for _, log_scale in laguerre)
+
+
+# ------------------------------------------------------ the lane-wise closings
+
+
+def per_cell_overlap_closing(n, k, d, mantissa, log_scale):
+    """The per-cell overlap closing the lane-wise one replaced, kept as the reference."""
+    if mantissa == 0.0:
+        return 0.0
+    log_mag = (
+        -0.5 * d * d
+        + k * math.log(d)
+        + 0.5 * (math.lgamma(n + 1) - math.lgamma(n + k + 1))
+        + math.log(abs(mantissa))
+        + log_scale
+    )
+    if log_mag < -745.0:
+        return math.copysign(0.0, mantissa)
+    return math.copysign(math.exp(log_mag), mantissa)
+
+
+def per_cell_series_closing(k, half, total):
+    """The per-lane series closing the lane-wise one replaced, kept as the reference."""
+    if total == 0.0:
+        return 0.0
+    value = k * math.log(half) - math.lgamma(k + 1) + math.log(abs(total))
+    if value < -745.0:
+        return math.copysign(0.0, total)
+    return math.copysign(math.exp(value), total)
+
+
+def per_cell_overlap(n, k, d):
+    return per_cell_overlap_closing(n, k, d, *per_degree_laguerre(n, k, d * d))
+
+
+def per_cell_bessel_series(k, x):
+    half = 0.5 * x
+    q, term, total = half * half, 1.0, 1.0
+    for m in range(1, 1001):
+        term *= -q / (m * (m + k))
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return per_cell_series_closing(k, half, total)
+
+
+# (ns, k, d): the first n of each column takes a special branch; at k = 300,
+# d = 0.3 the overlap is 0 below n = 1000, subnormal at 1000 and normal at 4000
+OVERLAP_BRANCH_COLUMNS = [
+    ([0, 100, 1000, 4000, 7], 300, 0.3),  # n = 0 and 100: log below -745, a zero
+    ([300, 0], 300, 0.01),                # every lane below -745
+    ([1, 0, 2, 5, 30], 3, 2.0),           # n = 1: L_1^3(4) = 0 exactly, mantissa 0
+]
+
+
+@pytest.mark.parametrize("ns, k, d", OVERLAP_BRANCH_COLUMNS)
+def test_overlap_closing_branch_lanes_equal_the_per_cell_closing(ns, k, d):
+    want = [per_cell_overlap(n, k, d) for n in ns]
+    assert want[0] == 0.0  # a zero lane, from a special branch
+    column = _overlap_grid(ns, k, d)
+    one_lane = _overlap_grid(ns[:1], k, d)
+    assert all(identical(g, w) for g, w in zip(column.tolist(), want)), (column, want)
+    assert identical(one_lane.tolist()[0], want[0])
+    assert all(identical(displaced_fock_overlap(n, k, d), w) for n, w in zip(ns, want))
+
+
+@pytest.mark.parametrize("d", [0.02, 2.0, 40.0])
+def test_overlap_grid_equals_the_per_cell_closing(d):
+    # grid and scalar share one closing, so pin both to the per-cell one
+    for k in (0, 3, 12):
+        got = _overlap_grid(OVERLAP_NS, k, d).tolist()
+        want = [per_cell_overlap(n, k, d) for n in OVERLAP_NS]
+        bad = [(n, g, w) for n, g, w in zip(OVERLAP_NS, got, want) if not identical(g, w)]
+        assert not bad, f"d={d}, k={k}: (n, grid, per cell) {bad[:3]}"
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 200])
+def test_bessel_series_lanes_equal_the_per_lane_closing(monkeypatch, k):
+    numpy_lanes(monkeypatch)
+    xs = [x for x in (0.037 * i for i in range(1, 560)) if specfun._series_regime(k, x)]
+    got = _bessel_column(k, xs).tolist()
+    bad = [(x, g) for x, g in zip(xs, got) if not identical(g, per_cell_bessel_series(k, x))]
+    assert not bad, f"k={k}: (x, column) {bad[:3]}"
+
+
+@pytest.mark.parametrize("numpy_pass", [True, False])
+def test_series_closing_branch_lanes_equal_the_per_lane_closing(monkeypatch, numpy_pass):
+    # k = 200 at x = 1e-3: the log of the leading term lies far below -745
+    if numpy_pass:
+        numpy_lanes(monkeypatch)
+    xs = [1e-3, 1.0, 5.0, 8.0, 20.0, 1e-3, 12.0]  # all in the series regime at k = 200
+    want = [per_cell_bessel_series(200, x) for x in xs]
+    assert want[0] == 0.0 and want[-1] != 0.0
+    column = specfun._series_lanes(200, np.array(xs))
+    one_lane = specfun._series_lanes(200, np.array(xs[:1]))
+    assert all(identical(g, w) for g, w in zip(column.tolist(), want))
+    assert identical(one_lane.tolist()[0], want[0])
+    assert all(identical(bessel_j(200, x), w) for x, w in zip(xs, want))
+
+
+def test_closings_keep_the_sign_of_every_zero_and_flush_below_minus_745():
+    # synthetic lanes: negative sums and mantissas that underflow must give
+    # -0.0, a zero (of either sign) +0.0, as the per-cell closings do
+    half = np.array([5e-4, 5e-4, 5e-4, 5e-4, 0.5, 0.5])
+    totals = [-1.0, 1.0, 0.0, -0.0, -0.75, 0.75]
+    got = specfun._close_series(200, half, totals).tolist()
+    want = [per_cell_series_closing(200, h, t) for h, t in zip(half.tolist(), totals)]
+    assert all(identical(g, w) for g, w in zip(got, want)), (got, want)
+    assert [math.copysign(1.0, g) for g in got[:4]] == [-1.0, 1.0, 1.0, 1.0]
+
+    ns = [0, 5, 5, 5, 5, 2]
+    laguerre = [(-1.0, 0.0), (-3.5, 0.0), (2.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (-2.0, _LOG_RESCALE)]
+    got = specfun._close_overlap(ns, 300, 0.01, laguerre).tolist()
+    want = [per_cell_overlap_closing(n, 300, 0.01, *lag) for n, lag in zip(ns, laguerre)]
+    assert all(identical(g, w) for g, w in zip(got, want)), (got, want)
+    assert [math.copysign(1.0, g) for g in got] == [-1.0, -1.0, 1.0, 1.0, 1.0, -1.0]
+
+    # just below -745 exp still returns a subnormal; the closings flush it
+    assert math.exp(-745.05) > 0.0
+    got = specfun._close_overlap([0, 0, 0], 0, 1.0, [(1.0, -744.55), (-1.0, -744.55), (1.0, -744.45)])
+    assert all(identical(g, w) for g, w in zip(got.tolist(), [0.0, -0.0, 5e-324]))
+    half = 1e-300
+    totals = [math.exp(-745.05 - math.log(half)) * f for f in (1.0, -1.0)]
+    got = specfun._close_series(1, np.array([half, half]), totals)
+    assert all(identical(g, w) for g, w in zip(got.tolist(), [0.0, -0.0]))
 
 
 # -------------------------------------------------------- spectra and the CLI

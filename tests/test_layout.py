@@ -2,6 +2,7 @@
 exact public surface."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -90,3 +91,17 @@ def test_every_private_name_is_used_in_the_package(path):
         if name not in imported and loaded[name] == _loaded_names(node)[name]
     ]
     assert not unused, f"{path.name}: private names used nowhere in the package {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_the_standard_library_and_numpy_are_imported(path):
+    # numpy is the one runtime dependency; relative imports stay in the package
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    imported = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append((node.module, node.lineno))
+    foreign = [(name, line) for name, line in imported if name.split(".")[0] not in allowed]
+    assert not foreign, f"{path.name}: imports outside the standard library and numpy {foreign}"
