@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, key_help, read_config_file, resolve
-from .errors import FitDegenerateError, NumericalFailure
+from .errors import FitDegenerateError, NumericalFailure, require_int, require_real
 from .models import (
     CavityCoupling,
     JointState,
@@ -32,7 +32,8 @@ from .models import (
 )
 from .output import OutputTable, write_table
 from .specfun import (
-    bessel_j,
+    MAX_BESSEL_ORDER,
+    _bessel_column,
     bessel_j_adiabatic_impulse,
     bessel_j_adiabatic_impulse_expanded,
     bessel_j_asymptotic,
@@ -47,9 +48,9 @@ from .spectra import (
 from .dynamics import SpectralEvolution, TimeGrid, propagate_semiclassical
 
 # peak bytes an artifact cell holds while its rows are built and written;
-# tracemalloc measured 19-46 writing CSV on identity-sweep and bessel-approx
-# runs, and 67-85 writing JSON
-_CELL_BYTES = 64
+# tracemalloc measured 16-47 writing CSV and 65-90 writing JSON on evolve,
+# bessel-approx and identity-sweep tables of 0.18-1.8 million cells
+_CELL_BYTES = 96
 
 
 def _require_table_memory(command: str, rows: int, width: int) -> None:
@@ -105,13 +106,10 @@ def _cmd_evolve(cfg: RunConfig):
                 f"mean occupation {mean:g}, n-min={n_min}, n-max={n_max}: {exc}"
             ) from exc
 
+    header, columns = ("t", "p_down"), [trace.times, trace.p_down]
     if quad is not None:
-        header = ("t", "p_down", "x_mean")
-        rows = list(zip(trace.times, trace.p_down, quad.x_mean))
-    else:
-        header = ("t", "p_down")
-        rows = list(zip(trace.times, trace.p_down))
-    return header, rows, extra
+        header, columns = header + ("x_mean",), columns + [quad.x_mean]
+    return header, np.column_stack(columns), extra
 
 
 def _cmd_fit_shift(cfg: RunConfig):
@@ -135,10 +133,12 @@ def _cmd_fit_shift(cfg: RunConfig):
 def _cmd_bessel_approx(cfg: RunConfig):
     p = cfg.parameters
     _require_table_memory("bessel-approx", len(p["k"]) * len(p["x"]), 9)
+    # every cell checked as bessel_j checks it, before the first column
+    ks = [require_int("k", k, 0, MAX_BESSEL_ORDER) for k in p["k"]]
+    xs = [require_real("x", x, 0.0) for x in p["x"]]
     rows = []
-    for k in p["k"]:
-        for x in p["x"]:
-            exact = bessel_j(k, x)
+    for k in ks:
+        for x, exact in zip(xs, _bessel_column(k, xs).tolist()):
             asym = bessel_j_asymptotic(k, x)
             if x > k:
                 adia = bessel_j_adiabatic_impulse(k, x)

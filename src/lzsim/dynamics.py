@@ -228,23 +228,24 @@ def _floquet_power_on(f, psi, m):
     """F^m psi, shape (m.size, 2), for a float array of period counts m.
 
     G = F / sqrt(det F) is in SU(2) up to rounding, with rotation angle
-    theta, and G^m = cos(m theta) I + sin(m theta)/sin(theta) (G - cos(theta) I);
-    the ratio is written with sinc so that theta = 0 (G = I) needs no
-    separate branch.  Only the unit phase of sqrt(det F) and G's first row
-    (a, b), read as the SU(2) matrix [[a, b], [-b*, a*]], enter, so F's
-    rounding-level departure from unitarity, which the caller has checked,
-    is not compounded m times.
+    theta, and G^m = cos(m theta) I + sin(m theta)/sin(theta) (G - cos(theta) I),
+    the ratio m at theta = 0 (G = I).  Cosine and sine take the one rounded
+    m theta, so their squares sum to 1 however large it grows.  Only the
+    unit phase of sqrt(det F) and G's first row (a, b), read as the SU(2)
+    matrix [[a, b], [-b*, a*]], enter, so F's rounding-level departure from
+    unitarity, which the caller has checked, is not compounded m times.
     """
     phase = np.sqrt(f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0])
     a, b = f[0] / phase
     theta = math.atan2(math.hypot(a.imag, abs(b)), a.real)
-    ratio = m * np.sinc(m * theta / math.pi) / np.sinc(theta / math.pi)
+    phi = m * theta
+    ratio = np.sin(phi) / math.sin(theta) if theta else m
     # (G - cos(theta) I) psi
     k_psi = np.array([
         1j * a.imag * psi[0] + b * psi[1],
         -b.conjugate() * psi[0] - 1j * a.imag * psi[1],
     ])
-    out = np.cos(m * theta)[:, None] * psi + ratio[:, None] * k_psi
+    out = np.cos(phi)[:, None] * psi + ratio[:, None] * k_psi
     return np.exp(1j * np.angle(phase) * m)[:, None] * out
 
 
@@ -353,14 +354,13 @@ def _require_tile_memory(levels: int, tile_levels: int) -> None:
     It adds the kept modes and their copy in the core blocks (each of the
     window's 2L modes stored on at most T rows, twice), the in-block phase
     table of traces (_PHASE_BLOCK complex values per mode) and its sample
-    chunk buffers: per sample, 4 per mode for the real phase buffer and its
-    complex source, and 6 T for a core's product, the one before it and
-    their squares.
+    chunk buffers: per sample, 2 per mode for the complex phases, and 6 T
+    for a core's product, the one before it and their squares.
     """
     tile, dim = 2 * tile_levels, 2 * levels
     need = 8 * (
         5 * tile * tile + 6 * tile + 2 * tile * dim + 2 * _PHASE_BLOCK * dim
-        + _SAMPLE_CHUNK * (6 * tile + 4 * dim)
+        + _SAMPLE_CHUNK * (6 * tile + 2 * dim)
     )
     _require_memory(
         need, f"diagonalising Fock tiles of dimension {tile} on a window of dimension {dim}"
@@ -440,14 +440,13 @@ class SpectralEvolution:
     initial coefficient folded in), and exp(-i E r dt) for the offsets
     r = 0..31 within a block, built once per call.  Each sample's phase is
     one complex product of the two, and at block starts it equals the direct
-    exp(-i E t).  A chunk of 512 samples writes them once into one real
-    buffer, real parts then imaginary parts.  Traces for any number of
-    initial states and grids then cost one real matrix product per core and
-    chunk: the core's block, its rows of both branches against the modes of
-    the (at most three) tiles that reach it, times those modes' rows of the
-    buffer.  Population, norm and quadrature are reduced from each core's
-    result; the quadrature pair across a core edge takes the previous
-    core's last row.
+    exp(-i E t).  A chunk of 512 samples reads them in place as real pairs.
+    Traces for any number of initial states and grids then cost one real
+    matrix product per core and chunk: the core's block, its rows of both
+    branches against the modes of the (at most three) tiles that reach it,
+    times those modes' rows of the pairs.  Population, norm and quadrature
+    are reduced from each core's result; the quadrature pair across a core
+    edge takes the previous core's last row.
 
     Every eigenmode is localized on a few dozen levels around its centre
     sum_m m |v_m|^2.  The window is covered by cores of M levels, first
@@ -466,7 +465,7 @@ class SpectralEvolution:
     whole window.
 
     Construction raises ResourceLimitError, before allocating anything,
-    when the tiles, the kept modes, the core blocks and the sample buffers
+    when the tiles, the kept modes, the core blocks and the sample chunks
     of traces would not fit in physical memory.  Each initial state must
     live on the same window and may hold at most 1e-8 of its norm in the
     outer 5% of the window's levels at either edge (only the top edge when
@@ -558,23 +557,18 @@ class SpectralEvolution:
         # linspace's own step, so that t0 + r dt is sample r up to rounding
         dt = (grid.t1 - grid.t0) / (grid.samples - 1)
         in_block = np.exp(np.outer(energies, -1j * (dt * np.arange(_PHASE_BLOCK))))
-        buffer = np.empty(2 * energies.size * min(times.size, _SAMPLE_CHUNK))
 
         for lo in range(0, times.size, _SAMPLE_CHUNK):
             t = times[lo : lo + _SAMPLE_CHUNK]
             n = t.size
-            rot = _sample_phases(energies, coeffs, t[::_PHASE_BLOCK], in_block, n)
-            # real then imaginary parts side by side: one real product per
-            # core gives both parts of its amplitudes
-            phases = buffer[: 2 * energies.size * n].reshape(energies.size, 2 * n)
-            phases[:, :n] = rot.real
-            phases[:, n:] = rot.imag
-            del rot  # not held while the next chunk builds its own
+            # real and imaginary parts interleaved, read in place: one real
+            # product per core gives both parts of its amplitudes
+            phases = _sample_phases(energies, coeffs, t[::_PHASE_BLOCK], in_block, n).view(float)
             norm = np.zeros(n)
             for start, stop, first, end, block in self._cores:
                 amp = (block @ phases[first:end]).reshape(2, stop - start, 2 * n)
                 dens = (amp * amp).sum(axis=1)
-                dens = dens[:, :n] + dens[:, n:]
+                dens = dens[:, 0::2] + dens[:, 1::2]
                 norm += dens[0] + dens[1]
                 p[lo : lo + n] += dens[1]
                 if quadrature:
@@ -585,7 +579,8 @@ class SpectralEvolution:
                         # the pair across the core boundary
                         pair += root[start - 1] * np.sum(last * amp[:, 0], axis=0)
                     last = amp[:, -1].copy()
-                    x[lo : lo + n] += pair[:n] + pair[n:]
+                    x[lo : lo + n] += pair[0::2] + pair[1::2]
+            del phases  # not held while the next chunk builds its own
             drift = float(np.max(np.abs(norm - 1.0)))
             if drift > _NORM_TOL:
                 raise NormDriftError(f"eigenbasis norm drift {drift:.3e}")

@@ -24,7 +24,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ResourceLimitError, TruncationError, require_int, require_real
-from .specfun import _displaced_fock_column
+from .specfun import _displaced_fock_column, _libm
 
 _NORM_TOL = 1e-9
 # the norm a state may lose to, or hold at, the edges of its Fock window
@@ -312,11 +312,11 @@ def coherent_state(alpha: float, n_max: int, n_min: int = 0) -> np.ndarray:
     if alpha == 0.0:
         return fock_state(0, n_max)
     levels = n_max - n_min + 1
-    # about 64 bytes a level: the level grid, its lgamma list of Python
-    # floats and the vectors computed from them
+    # about 64 bytes a level: the level grid, the list of Python floats
+    # libm's lgamma is called on and the vectors computed from them
     _require_memory(64 * levels, f"coherent state on {levels} levels")
     m = np.arange(n_min, n_max + 1, dtype=float)
-    log_fact = np.array([math.lgamma(v + 1.0) for v in m])
+    log_fact = _libm(math.lgamma, m + 1.0)
     log_amp = -0.5 * alpha * alpha + m * math.log(alpha) - 0.5 * log_fact
     amps = np.exp(log_amp)
     return amps / np.linalg.norm(amps)

@@ -528,6 +528,23 @@ def test_rabi_freq_refuses_a_bessel_order_past_the_bound_before_any_work(capsys,
     assert "got k=10001" in err
 
 
+def test_bessel_approx_refuses_its_last_order_before_any_column(capsys, monkeypatch):
+    # k = 0 is in range, k = 10001 is not: every order is checked before
+    # the first exact column or approximation
+    import lzsim.cli
+
+    def no_work(*args):
+        raise AssertionError(f"work started before the order check: {args[:2]}")
+
+    for name in ("_bessel_column", "bessel_j_asymptotic"):
+        monkeypatch.setattr(lzsim.cli, name, no_work)
+    code, out, err = run_cli(capsys, "bessel-approx", "k=0,10001", "x=1,2")
+    assert code == 2 and out == ""
+    assert err == (
+        "lzsim: config error: bessel-approx: k must be an integer in [0, 10000], got k=10001\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, rows",
     [
@@ -545,7 +562,7 @@ def test_product_grids_refuse_a_table_beyond_memory_before_any_cell(capsys, monk
         raise AssertionError(f"a cell was computed before the memory check: {args[:2]}")
 
     monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 10**5)
-    for name in ("bessel_laguerre_identity_error_grid", "bessel_j", "bessel_j_asymptotic",
+    for name in ("bessel_laguerre_identity_error_grid", "_bessel_column", "bessel_j_asymptotic",
                  "fit_amplitude_shift"):
         monkeypatch.setattr(lzsim.cli, name, no_work)
     code, out, err = run_cli(capsys, *argv)
@@ -582,7 +599,7 @@ def test_evolve_refuses_a_trace_beyond_memory_before_any_propagator_work(
     assert code == 3 and out == ""
     assert err == (
         f"lzsim: numerical failure: evolve table of 1000000000000 rows needs about "
-        f"{64 * width * 10**12} bytes, more than the {32 * 2**30} bytes of physical memory\n"
+        f"{96 * width * 10**12} bytes, more than the {32 * 2**30} bytes of physical memory\n"
     )
 
 

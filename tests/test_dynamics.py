@@ -290,6 +290,17 @@ def test_floquet_power_matches_repeated_products(kind):
     assert np.max(np.abs(got - want)) < 1e-13
 
 
+@pytest.mark.parametrize("t_end", [1e9, 1e12, 1e15])
+def test_long_horizons_keep_the_norm(t_end):
+    # m theta reaches 1e7 and more: a cosine and a sine of two different
+    # roundings of it would leave the norm by more than 1e-9 from t = 2.6e8 on
+    trace = propagate_semiclassical(
+        QubitSpec(0.4, 2.0), SemiclassicalDrive(10.0), QubitState.down(),
+        TimeGrid(0.0, t_end, 1001),
+    )
+    assert trace.times[-1] == t_end and np.all(np.isfinite(trace.p_down))
+
+
 def test_golden_grid_converges_for_both_stepping_rules():
     # the golden evolve case: its sample spacing is not a whole number of
     # steps, so Floquet and the stepper place step boundaries differently;

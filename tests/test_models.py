@@ -484,16 +484,16 @@ def test_dense_memory_guard_raises_before_allocating(monkeypatch):
         exact_splitting(qubit, cavity, 300, 2)
     # SpectralEvolution counts its largest tile (105 levels at margin 35), the
     # kept modes and their core blocks, the in-block phase table and the
-    # sample buffers of traces: 8 * (5 * 210^2 + 6 * 210 + 2 * 210 * 2002
-    # + 64 * 2002 + 512 * (6 * 210 + 4 * 2002)) bytes on the full basis
-    monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 135 * 10**5)
+    # sample chunks of traces: 8 * (5 * 210^2 + 6 * 210 + 2 * 210 * 2002
+    # + 64 * 2002 + 512 * (6 * 210 + 2 * 2002)) bytes on the full basis
+    monkeypatch.setattr(lzsim.models, "_physical_memory", lambda: 11 * 10**6)
     with pytest.raises(
         ResourceLimitError,
         match="tiles of dimension 210 on a window of dimension 2002 "
-        "needs about 47487552 bytes",
+        "needs about 31087168 bytes",
     ):
         SpectralEvolution(qubit, CavityCoupling(0.1, 1000))
-    # the window is what is counted: 2 x 180 levels need 14.2 MB, 2 x 150 need 13.0 MB
+    # the window is what is counted: 2 x 180 levels need 11.3 MB, 2 x 150 need 10.6 MB
     with pytest.raises(ResourceLimitError, match="window of dimension 360"):
         SpectralEvolution(qubit, CavityCoupling(0.1, 999, 820))
     SpectralEvolution(qubit, CavityCoupling(0.1, 999, 850))
